@@ -1,44 +1,45 @@
 """A self-healing wire client for the JSON-lines serving protocol.
 
-:class:`Client` wraps the raw socket conversation of
-``docs/wire-protocol.md`` in the retry/deadline/failover policy a
-caller facing real networks needs:
+:class:`Client` (blocking) and :class:`AsyncClient` (asyncio, pipelined)
+wrap the raw socket conversation of ``docs/wire-protocol.md`` in the
+retry/deadline/failover policy a caller facing real networks needs:
 
 * **per-op deadlines** — every public method is bounded by ``timeout``
   seconds of wall clock, connection attempts included; a blown deadline
-  raises :class:`DeadlineExceeded`, never hangs;
+  raises :class:`DeadlineExceeded`, never hangs.  Idempotent requests
+  carry the remaining budget as ``deadline_ms``, so a server that
+  enforces it stops working on a request its client gave up on;
 * **capped-exponential retry with jitter** for *idempotent* requests
-  (reads, ``ping``, admin ops): transport errors and injected drops are
-  retried against the next endpoint in rotation, so a primary kill is
-  invisible to readers as long as any replica still answers;
-* **typed-error passthrough** for mutations: a ``degraded`` frame
-  (the durability layer refused the write — see
-  :class:`repro.session.DegradedError`) or a ``stale`` frame surfaces
-  as a typed exception carrying the server's structured fields, never
-  as prose to re-parse; a ``read_only`` frame triggers one redirect to
-  the primary the replica announced;
+  (reads, ``ping``, admin ops): transport failures and ``overloaded``,
+  ``deadline`` and ``stale`` frames are retried against the next
+  endpoint in rotation, so a primary kill is invisible to readers as
+  long as any replica still answers;
+* **typed-error passthrough** — ``degraded``, ``read_only``, ``stale``
+  and ``overloaded`` frames surface as typed exceptions carrying the
+  server's structured fields, never as prose to re-parse; a
+  ``read_only`` frame on a write triggers one redirect to the primary
+  the replica announced;
 * **bounded-staleness reads** — the client tracks the highest
   generation any of its own acknowledged writes reached and stamps it
   as ``min_generation`` on subsequent reads (read-your-writes), so a
   read failing over to a lagging replica either waits for the write it
   just made or fails ``stale`` and rotates, never silently rewinds;
-* **honest write semantics** — a mutation is retried only while the
-  client can prove it never reached a server (connection refused before
-  anything was sent).  Once request bytes may have left, a transport
-  failure raises :class:`IndeterminateWriteError`: the write may or may
-  not have applied, and only the caller knows whether re-issuing it is
+* **honest write semantics** — a mutation is re-sent only when the
+  client knows it never ran: the connect failed before a byte left, or
+  the server shed it with ``overloaded``.  Once request bytes may have
+  left, a lost connection (or a server ``deadline`` frame) raises
+  :class:`IndeterminateWriteError`: the write may or may not have
+  applied, and only the caller knows whether re-issuing it is
   idempotent for their data.
 
-:class:`AsyncClient` is the same policy on asyncio with one addition —
-true **pipelining**: one connection per endpoint shared by every
-coroutine, many requests in flight, responses matched back by their
-echoed ``id`` even when the server answers out of order, plus a
-bounded :meth:`AsyncClient.fanout` scatter helper.  An ``overloaded``
-frame (the async server shedding load at admission) is retryable by
-definition — the request was never executed — and both clients do so
-with backoff; a server-side ``deadline`` frame is retried for reads
-and surfaced as :class:`IndeterminateWriteError` for writes (the op
-may still complete after the server stopped waiting).
+The policy is written once, as a sans-IO state machine
+(:meth:`_ClientBase._policy`): a generator that yields :class:`Send` and
+:class:`Sleep` steps and is told what each send came to —
+:class:`Answered`, :class:`NotSent` (no byte left) or :class:`Lost`
+(anything after the first byte went out).  The two clients are thin
+drivers that carry those steps out on their own transport, so they
+cannot disagree on a decision, and the policy is tested without
+sockets.  ``docs/fault-tolerance.md`` tabulates it.
 
 >>> from repro.client import Client
 >>> from repro.server import serve
@@ -58,10 +59,12 @@ import asyncio
 import json
 import random
 import socket
+from dataclasses import dataclass
 from time import monotonic, sleep
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Mapping, Sequence, Union
 
 from repro.replication.replica import parse_address
+from repro.server import MAX_LINE_BYTES
 
 __all__ = [
     "AsyncClient",
@@ -173,50 +176,82 @@ def _backoff_delay(base: float, cap: float, attempt: int, jitter: Callable[[], f
     return delay * (0.5 + 0.5 * min(1.0, max(0.0, jitter())))
 
 
-def _retryable_frame(error: ServerError) -> bool:
-    """Server frames a client may transparently retry for *idempotent* ops.
+# ----------------------------------------------------------------------
+# the policy's vocabulary: steps it asks for, outcomes it is told
+# ----------------------------------------------------------------------
 
-    ``overloaded`` — shed at admission, nothing ran; ``deadline`` — the
-    server gave up inside its own ``deadline_ms`` budget, and re-running
-    a read is free.  Mutations treat ``deadline`` differently (the op
-    may still complete server-side): see the request cores.
+
+@dataclass(frozen=True)
+class Send:
+    """Step: write ``payload`` as one line to ``endpoint``, read its answer.
+
+    ``deadline`` (on the :func:`~time.monotonic` clock) bounds the
+    driver's connect and wait.
     """
-    return isinstance(error, OverloadedServerError) or error.error_type == "deadline"
+
+    endpoint: tuple[str, int]
+    payload: dict
+    deadline: float
 
 
-class Client:
-    """A resilient JSON-lines client over one primary and its replicas.
+@dataclass(frozen=True)
+class Sleep:
+    """Step: back off for ``seconds`` before the next attempt."""
 
-    Parameters
-    ----------
-    primary:
-        ``"host:port"`` (or an ``(host, port)`` pair) of the node that
-        accepts writes;
-    replicas:
-        additional read endpoints; idempotent reads rotate across
-        ``[primary, *replicas]`` on failure;
-    timeout:
-        per-operation wall-clock deadline in seconds (connects, sends,
-        retries and backoff sleeps all count against it);
-    retries:
-        attempts per idempotent operation beyond the first;
-    backoff_base / backoff_cap:
-        capped exponential retry schedule: attempt *n* sleeps roughly
-        ``min(base * 2**n, cap)`` seconds, jittered to half;
-    read_your_writes:
-        stamp the client's own highest acknowledged write generation as
-        ``min_generation`` on reads that do not set one (default on);
-    wait_timeout_s:
-        how long a server may block to satisfy a ``min_generation``
-        floor before answering ``stale``;
-    jitter:
-        a ``() -> float in [0, 1)`` hook, injectable for deterministic
-        tests.
+    seconds: float
 
-    One socket per endpoint is kept open and reused across requests;
-    any transport error tears that connection down so the next attempt
-    reconnects from scratch.  Instances are **not** thread-safe — use
-    one per thread (the server multiplexes fine).
+
+@dataclass(frozen=True)
+class Answered:
+    """Outcome: the endpoint answered with this response object."""
+
+    response: dict
+
+
+@dataclass(frozen=True)
+class NotSent:
+    """Outcome: no byte reached the socket (e.g. the connect failed)."""
+
+    reason: str
+
+
+@dataclass(frozen=True)
+class Lost:
+    """Outcome: the request may have left, but no usable answer came back.
+
+    Reset, EOF, timeout, an undecodable or an oversized response line.
+    """
+
+    reason: str
+
+
+Outcome = Union[Answered, NotSent, Lost]
+Policy = Generator[Union[Send, Sleep], Union[Outcome, None], dict]
+
+
+def _encode(payload: dict) -> bytes:
+    return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _decode(line: bytes) -> dict:
+    """One response line → its JSON object; ``ValueError`` otherwise."""
+    if not line.endswith(b"\n"):
+        if len(line) > MAX_LINE_BYTES:
+            raise ValueError(f"response line exceeds {MAX_LINE_BYTES} bytes")
+        raise ValueError("connection closed mid-response")
+    response = json.loads(line)
+    if not isinstance(response, dict):
+        raise ValueError("response is not a JSON object")
+    return response
+
+
+class _ClientBase:
+    """Endpoints, counters, the request policy and the typed helpers.
+
+    Shared by both clients (parameters: see :class:`Client`).  The
+    typed helpers (:meth:`ping`, :meth:`query`, :meth:`insert`, …)
+    return whatever the driver's ``request`` returns: the response dict
+    on :class:`Client`, an awaitable of it on :class:`AsyncClient`.
     """
 
     def __init__(
@@ -250,12 +285,9 @@ class Client:
         self._rotation = 0
         #: highest generation an acknowledged write of *this client* reached
         self.last_write_generation = 0
-        self._conns: dict[tuple[str, int], tuple[socket.socket, object]] = {}
         self._seq = 0
-
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
+        #: endpoint → the driver's live connection to it
+        self._conns: dict = {}
 
     @property
     def primary_address(self) -> str:
@@ -266,233 +298,125 @@ class Client:
     def endpoints(self) -> list[str]:
         return [f"{host}:{port}" for host, port in self._endpoints]
 
-    def close(self) -> None:
-        """Close every cached connection (idempotent)."""
-        for sock, _reader in self._conns.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        self._conns.clear()
+    def _adopt_primary(self, endpoint: tuple[str, int]) -> None:
+        self._primary = endpoint
+        if endpoint not in self._endpoints:
+            self._endpoints.insert(0, endpoint)
 
-    def __enter__(self) -> "Client":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _drop(self, endpoint: tuple[str, int]) -> None:
-        conn = self._conns.pop(endpoint, None)
-        if conn is not None:
-            try:
-                conn[0].close()
-            except OSError:
-                pass
-
-    def _connect(self, endpoint: tuple[str, int], deadline: float):
-        cached = self._conns.get(endpoint)
-        if cached is not None:
-            return cached
-        budget = min(self.connect_timeout, deadline - monotonic())
-        if budget <= 0:
-            raise DeadlineExceeded(f"deadline expired connecting to {endpoint}")
-        try:
-            sock = socket.create_connection(endpoint, timeout=budget)
-        except OSError as err:
-            raise TransportError(f"cannot connect to {endpoint}: {err}") from err
-        reader = sock.makefile("r", encoding="utf-8", newline="\n")
-        self._conns[endpoint] = (sock, reader)
-        return sock, reader
-
-    def _exchange(self, endpoint: tuple[str, int], payload: dict, deadline: float) -> dict:
-        """One request/response on one endpoint; raises on any failure.
-
-        Transport failures *after* the request bytes may have left are
-        tagged by re-raising :class:`IndeterminateWriteError` — the
-        caller decides whether its op makes that ambiguity safe.
-        """
-        sock, reader = self._connect(endpoint, deadline)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded(f"deadline expired before sending to {endpoint}")
-        line = json.dumps(payload) + "\n"
-        try:
-            sock.settimeout(remaining)
-            sock.sendall(line.encode("utf-8"))
-            response = reader.readline()
-        except OSError as err:
-            self._drop(endpoint)
-            if isinstance(err, socket.timeout):
-                raise IndeterminateWriteError(
-                    f"no response from {endpoint} within the deadline"
-                ) from err
-            raise IndeterminateWriteError(
-                f"connection to {endpoint} failed mid-request: {err}"
-            ) from err
-        if not response:
-            # clean EOF: the server closed without answering (drained,
-            # crashed, or an injected drop) — the request's fate is unknown
-            self._drop(endpoint)
-            raise IndeterminateWriteError(f"{endpoint} closed the connection mid-request")
-        try:
-            return json.loads(response)
-        except ValueError as err:
-            self._drop(endpoint)
-            raise TransportError(f"undecodable response from {endpoint}: {err}") from err
-
-    def _sleep(self, attempt: int, deadline: float) -> None:
-        delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded("retry budget exhausted")
-        if delay >= remaining:
-            # the schedule wants to sleep past the caller's deadline:
-            # burn only what is left and fail *on* the deadline instead
-            # of waking late for an attempt that cannot finish
-            sleep(remaining)
-            raise DeadlineExceeded("deadline expired during retry backoff")
-        sleep(delay)
+    def _connect_budget(self, send: Send) -> float:
+        return max(min(self.connect_timeout, send.deadline - monotonic()), 1e-3)
 
     # ------------------------------------------------------------------
-    # the request core
+    # the policy
     # ------------------------------------------------------------------
 
-    def request(self, payload: dict, *, endpoint: str | tuple | None = None) -> dict:
-        """Send one raw request object with the full resilience policy.
+    def _policy(
+        self,
+        payload: dict,
+        endpoint: str | tuple | None = None,
+        clock: Callable[[], float] = monotonic,
+    ) -> Policy:
+        """One request, start to finish, as a sans-IO state machine.
 
-        The escape hatch the typed helpers build on.  ``endpoint`` pins
-        the request to one node (admin ops on a specific replica);
-        otherwise idempotent reads rotate over every endpoint and
-        mutations go to the primary.  Returns the decoded ``ok: true``
-        response; raises a typed :class:`ClientError` otherwise.
+        Yields :class:`Send` steps, answered with :class:`Answered`,
+        :class:`NotSent` or :class:`Lost`, and :class:`Sleep` steps,
+        answered with ``None``.  Returns the ``ok`` response or raises
+        a :class:`ClientError`.  Every decision — endpoint, stamping,
+        retry, backoff, redirect, raise — is made here; the drivers only
+        move bytes.  ``endpoint`` pins the request to one node.
         """
-        op = payload.get("op")
+        deadline = clock() + self.timeout
         self._seq += 1
         payload = {"id": self._seq, **payload}
-        deadline = monotonic() + self.timeout
+        op = payload.get("op")
         pinned = parse_address(endpoint) if endpoint is not None else None
-        if op in IDEMPOTENT_OPS:
-            return self._request_idempotent(payload, deadline, pinned)
-        return self._request_mutation(payload, deadline, pinned)
-
-    def _stamp_read_floor(self, payload: dict) -> dict:
+        idempotent = op in IDEMPOTENT_OPS
+        rotate = idempotent and pinned is None and op in FAILOVER_OPS
         if (
             self.read_your_writes
-            and payload.get("op") in ("query", "batch")
+            and op in ("query", "batch")
             and self.last_write_generation > 0
             and "min_generation" not in payload
         ):
-            payload = {
-                **payload,
-                "min_generation": self.last_write_generation,
-                "wait_timeout_s": self.wait_timeout_s,
-            }
-        return payload
-
-    def _request_idempotent(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        payload = self._stamp_read_floor(payload)
-        can_rotate = pinned is None and payload.get("op") in FAILOVER_OPS
-        endpoints = [pinned] if pinned is not None else self._endpoints
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            if can_rotate:
-                endpoint = endpoints[self._rotation % len(endpoints)]
-            else:
-                endpoint = endpoints[0] if pinned is not None else self._primary
-            try:
-                response = self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except (TransportError, IndeterminateWriteError) as err:
-                # idempotent: ambiguity is free to retry — rotate away
-                last_error = (
-                    err
-                    if isinstance(err, TransportError)
-                    else TransportError(str(err))
-                )
-                if can_rotate:
-                    self._rotation += 1
-            else:
-                if response.get("ok"):
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, StaleReadError) and can_rotate and len(endpoints) > 1:
-                    # this node is lagging; another may have caught up
-                    last_error = error
-                    self._rotation += 1
-                elif _retryable_frame(error):
-                    # shed at admission or timed out server-side: the read
-                    # never completed, so back off and try again
-                    last_error = error
-                    if can_rotate:
-                        self._rotation += 1
-                else:
-                    raise error
-            if attempt < self.retries:
-                self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
-
-    def _request_mutation(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        endpoint = pinned if pinned is not None else self._primary
+            payload["min_generation"] = self.last_write_generation
+            payload["wait_timeout_s"] = self.wait_timeout_s
         redirected = False
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                response = self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except TransportError as err:
-                # the connect itself failed: nothing was sent, retry is safe
-                last_error = err
-            except IndeterminateWriteError:
-                # bytes may have left — surface the ambiguity, never re-send
-                raise
+        attempt = 0
+        while True:
+            remaining = deadline - clock()
+            if remaining <= 0:
+                raise DeadlineExceeded("deadline expired before sending")
+            if rotate:
+                target = self._endpoints[self._rotation % len(self._endpoints)]
             else:
+                target = pinned or self._primary
+            wire = payload
+            if idempotent and "deadline_ms" not in payload:
+                # the server may stop working once this client gives up;
+                # never on a mutation, whose ambiguity must surface
+                wire = {**payload, "deadline_ms": max(1, int(remaining * 1000))}
+            outcome = yield Send(target, wire, deadline)
+            if isinstance(outcome, Answered):
+                response = outcome.response
                 if response.get("ok"):
                     generation = response.get("generation")
-                    if isinstance(generation, int):
-                        self.last_write_generation = max(
-                            self.last_write_generation, generation
-                        )
+                    if not idempotent and isinstance(generation, int):
+                        self.last_write_generation = max(self.last_write_generation, generation)
                     return response
                 error = _typed_error(response)
-                if isinstance(error, OverloadedServerError):
-                    # shed at admission: the write never ran, retry is safe
-                    last_error = error
-                elif error.error_type == "deadline":
-                    # the server stopped waiting, but the op it handed to
-                    # a worker may still complete — the indeterminate-write
-                    # case, so surface it and never auto-re-send
-                    raise IndeterminateWriteError(str(error)) from error
-                elif (
+                kind = error.error_type
+                if (
                     isinstance(error, ReadOnlyServerError)
                     and error.primary
-                    and not redirected
+                    and not idempotent
                     and pinned is None
+                    and not redirected
                 ):
                     # the write was refused, not applied: following the
                     # announced primary once is safe
-                    endpoint = parse_address(error.primary)
-                    self._primary = endpoint
-                    if endpoint not in self._endpoints:
-                        self._endpoints.insert(0, endpoint)
+                    self._adopt_primary(parse_address(error.primary))
                     redirected = True
                     continue
+                if kind == "deadline" and not idempotent:
+                    # the server stopped waiting, but the op it handed to
+                    # a worker may still complete
+                    raise IndeterminateWriteError(str(error)) from error
+                # overloaded: shed at admission, nothing ran; deadline (on
+                # a read, by now): re-running it is free; stale: another
+                # endpoint may have caught up
+                if kind == "stale":
+                    retryable = rotate and len(self._endpoints) > 1
                 else:
+                    retryable = kind in ("overloaded", "deadline")
+                if not retryable:
                     raise error
-            if attempt < self.retries:
-                self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
+                last_error: ClientError = error
+            else:
+                if isinstance(outcome, Lost) and not idempotent:
+                    # bytes may have left: surface the ambiguity, never re-send
+                    raise IndeterminateWriteError(outcome.reason)
+                last_error = TransportError(outcome.reason)
+            if rotate:
+                self._rotation += 1
+            if attempt >= self.retries:
+                raise last_error
+            delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
+            remaining = deadline - clock()
+            if remaining <= 0:
+                raise DeadlineExceeded("retry budget exhausted") from last_error
+            if delay >= remaining:
+                # burn only what is left and fail *on* the deadline
+                # instead of waking late for an attempt that cannot finish
+                yield Sleep(remaining)
+                raise DeadlineExceeded("deadline expired during retry backoff") from last_error
+            yield Sleep(delay)
+            attempt += 1
 
     # ------------------------------------------------------------------
     # typed helpers
     # ------------------------------------------------------------------
 
-    def ping(self) -> dict:
+    def ping(self):
         return self.request({"op": "ping"})
 
     def query(
@@ -504,7 +428,7 @@ class Client:
         mode: str = "auto",
         min_generation: int | None = None,
         min_rel_generation: Mapping[str, int] | None = None,
-    ) -> dict:
+    ):
         payload: dict = {"op": "query", "query": query, "mode": mode}
         if vars is not None:
             payload["vars"] = list(vars)
@@ -518,17 +442,17 @@ class Client:
             payload.setdefault("wait_timeout_s", self.wait_timeout_s)
         return self.request(payload)
 
-    def insert(self, relation: str, rows: Iterable[Sequence]) -> dict:
+    def insert(self, relation: str, rows: Iterable[Sequence]):
         return self.request({"op": "insert", "relation": relation, "rows": list(rows)})
 
-    def delete(self, relation: str, rows: Iterable[Sequence]) -> dict:
+    def delete(self, relation: str, rows: Iterable[Sequence]):
         return self.request({"op": "delete", "relation": relation, "rows": list(rows)})
 
     def apply_delta(
         self,
         adds: Mapping[str, list] | None = None,
         removes: Mapping[str, list] | None = None,
-    ) -> dict:
+    ):
         payload: dict = {"op": "delta"}
         if adds:
             payload["adds"] = dict(adds)
@@ -536,23 +460,121 @@ class Client:
             payload["removes"] = dict(removes)
         return self.request(payload)
 
-    def checkpoint(self, *, endpoint: str | tuple | None = None) -> dict:
+    def checkpoint(self, *, endpoint: str | tuple | None = None):
         """Force a snapshot (the degraded-mode healing op)."""
         return self.request({"op": "checkpoint"}, endpoint=endpoint)
+
+    def stats(self, *, endpoint: str | tuple | None = None):
+        return self.request({"op": "stats"}, endpoint=endpoint)
+
+    def health(self, *, endpoint: str | tuple | None = None):
+        return self.request({"op": "health"}, endpoint=endpoint)
+
+
+class Client(_ClientBase):
+    """A resilient blocking JSON-lines client over one primary and its replicas.
+
+    Parameters
+    ----------
+    primary:
+        ``"host:port"`` (or an ``(host, port)`` pair) of the node that
+        accepts writes;
+    replicas:
+        additional read endpoints; idempotent reads rotate across
+        ``[primary, *replicas]`` on failure;
+    timeout:
+        per-operation wall-clock deadline in seconds (connects, sends,
+        retries and backoff sleeps all count against it);
+    connect_timeout:
+        cap on one connection attempt;
+    retries:
+        attempts per operation beyond the first;
+    backoff_base / backoff_cap:
+        capped exponential retry schedule: attempt *n* sleeps roughly
+        ``min(base * 2**n, cap)`` seconds, jittered to half;
+    read_your_writes:
+        stamp the client's own highest acknowledged write generation as
+        ``min_generation`` on reads that do not set one (default on);
+    wait_timeout_s:
+        how long a server may block to satisfy a ``min_generation``
+        floor before answering ``stale``;
+    jitter:
+        a ``() -> float in [0, 1)`` hook, injectable for deterministic
+        tests.
+
+    One socket per endpoint is kept open and reused across requests;
+    any transport error tears that connection down so the next attempt
+    reconnects from scratch.  Instances are **not** thread-safe — use
+    one per thread (the server multiplexes fine).
+    """
+
+    def close(self) -> None:
+        """Close every cached connection (idempotent)."""
+        for endpoint in list(self._conns):
+            self._drop(endpoint)
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _drop(self, endpoint: tuple[str, int]) -> None:
+        conn = self._conns.pop(endpoint, None)
+        if conn is not None:
+            sock, reader = conn
+            try:
+                reader.close()  # the socket's descriptor stays open until its reader closes
+                sock.close()
+            except OSError:
+                pass
+
+    def _exchange(self, send: Send) -> Outcome:
+        """Carry out one :class:`Send` on the endpoint's cached socket."""
+        endpoint = send.endpoint
+        conn = self._conns.get(endpoint)
+        if conn is None:
+            try:
+                sock = socket.create_connection(endpoint, timeout=self._connect_budget(send))
+            except OSError as err:
+                return NotSent(f"cannot connect to {endpoint}: {err}")
+            conn = self._conns[endpoint] = (sock, sock.makefile("rb"))
+        sock, reader = conn
+        try:
+            sock.settimeout(max(send.deadline - monotonic(), 1e-3))
+            sock.sendall(_encode(send.payload))
+            return Answered(_decode(reader.readline(MAX_LINE_BYTES + 1)))
+        except (OSError, ValueError) as err:
+            self._drop(endpoint)
+            return Lost(f"request to {endpoint} lost: {err}")
+
+    def request(self, payload: dict, *, endpoint: str | tuple | None = None) -> dict:
+        """Send one raw request object with the full resilience policy.
+
+        The escape hatch the typed helpers build on.  ``endpoint`` pins
+        the request to one node (admin ops on a specific replica);
+        otherwise idempotent reads rotate over every endpoint and
+        mutations go to the primary.  Returns the decoded ``ok: true``
+        response; raises a typed :class:`ClientError` otherwise.
+        """
+        policy = self._policy(payload, endpoint)
+        outcome = None
+        try:
+            while True:
+                step = policy.send(outcome)
+                if isinstance(step, Sleep):
+                    sleep(step.seconds)
+                    outcome = None
+                else:
+                    outcome = self._exchange(step)
+        except StopIteration as done:
+            return done.value
 
     def promote(self, endpoint: str | tuple) -> dict:
         """Flip the replica at ``endpoint`` writable and adopt it as primary."""
         response = self.request({"op": "promote"}, endpoint=endpoint)
-        self._primary = parse_address(endpoint)
-        if self._primary not in self._endpoints:
-            self._endpoints.insert(0, self._primary)
+        self._adopt_primary(parse_address(endpoint))
         return response
-
-    def stats(self, *, endpoint: str | tuple | None = None) -> dict:
-        return self.request({"op": "stats"}, endpoint=endpoint)
-
-    def health(self, *, endpoint: str | tuple | None = None) -> dict:
-        return self.request({"op": "health"}, endpoint=endpoint)
 
 
 class _AsyncConn:
@@ -564,28 +586,23 @@ class _AsyncConn:
         self.endpoint = endpoint
         self.reader = reader
         self.writer = writer
-        #: request id → Future resolved by the reader task
+        #: request id → Future resolved with the request's Outcome
         self.pending: dict[object, asyncio.Future] = {}
         self.reader_task: asyncio.Task | None = None
         self.write_lock = asyncio.Lock()
 
 
-class AsyncClient:
+class AsyncClient(_ClientBase):
     """The :class:`Client` policy on asyncio, with true pipelining.
 
-    Same endpoints, deadlines, retry/backoff, failover rotation,
-    read-your-writes floor and honest-write semantics as the sync
-    client — every policy note on :class:`Client` holds here — plus:
+    Same parameters, and the very same policy (:meth:`_ClientBase._policy`),
+    as the blocking client, plus:
 
     * **pipelining** — each endpoint gets one connection shared by every
       coroutine of the owning event loop; any number of requests may be
       in flight at once, and responses are matched back to their callers
       by the echoed ``id``, so out-of-order completion (a protocol-v2
       server answers fast ops while a slow one still runs) just works;
-    * **deadline propagation** — unless disabled (or the caller set its
-      own), idempotent requests carry ``deadline_ms`` equal to the
-      client's remaining budget, so a v2 server stops working on a
-      request its client has already given up on;
     * :meth:`fanout` — a bounded ``asyncio.gather`` helper for the
       scatter half of scatter/gather workloads.
 
@@ -611,54 +628,6 @@ class AsyncClient:
     [[[1, 2]], [[1, 2]], [[1, 2]]]
     """
 
-    def __init__(
-        self,
-        primary: str | tuple,
-        replicas: Iterable[str | tuple] = (),
-        *,
-        timeout: float = 5.0,
-        connect_timeout: float = 1.0,
-        retries: int = 5,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
-        read_your_writes: bool = True,
-        wait_timeout_s: float = 2.0,
-        propagate_deadline: bool = True,
-        jitter: Callable[[], float] = random.random,
-    ):
-        self._primary = parse_address(primary)
-        self._endpoints: list[tuple[str, int]] = [self._primary]
-        for replica in replicas:
-            addr = parse_address(replica)
-            if addr not in self._endpoints:
-                self._endpoints.append(addr)
-        self.timeout = timeout
-        self.connect_timeout = connect_timeout
-        self.retries = max(0, retries)
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.read_your_writes = read_your_writes
-        self.wait_timeout_s = wait_timeout_s
-        self.propagate_deadline = propagate_deadline
-        self._jitter = jitter
-        self._rotation = 0
-        self.last_write_generation = 0
-        self._conns: dict[tuple[str, int], _AsyncConn] = {}
-        self._seq = 0
-
-    # ------------------------------------------------------------------
-    # connection plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def primary_address(self) -> str:
-        host, port = self._primary
-        return f"{host}:{port}"
-
-    @property
-    def endpoints(self) -> list[str]:
-        return [f"{host}:{port}" for host, port in self._endpoints]
-
     async def aclose(self) -> None:
         """Close every cached connection (idempotent)."""
         conns = list(self._conns.values())
@@ -681,245 +650,98 @@ class AsyncClient:
         """Drop a connection whose transport failed mid-request."""
         if self._conns.get(conn.endpoint) is conn:
             del self._conns[conn.endpoint]
-        conn.writer.close()  # wakes the reader task, which fails the pending
+        conn.writer.close()  # wakes the reader task, which loses the pending
 
     async def _read_loop(self, conn: _AsyncConn) -> None:
-        """Resolve pipelined responses to their waiters, by echoed id."""
-        failure: ClientError | None = None
+        """Resolve pipelined responses to their senders, by echoed id.
+
+        Every request still pending when the connection ends is
+        :class:`Lost`: its bytes went out, its answer never came back.
+        """
+        reason = f"{conn.endpoint} closed the connection mid-request"
         try:
             while True:
                 line = await conn.reader.readline()
                 if not line:
-                    break  # clean EOF
-                try:
-                    response = json.loads(line)
-                except ValueError as err:
-                    failure = TransportError(
-                        f"undecodable response from {conn.endpoint}: {err}"
-                    )
                     break
+                response = _decode(line)
                 fut = conn.pending.pop(response.get("id"), None)
                 if fut is not None and not fut.done():
-                    fut.set_result(response)
-        except OSError as err:
-            failure = TransportError(f"connection to {conn.endpoint} failed: {err}")
+                    fut.set_result(Answered(response))
+        except (OSError, ValueError) as err:
+            reason = f"connection to {conn.endpoint} failed: {err}"
         finally:
             if self._conns.get(conn.endpoint) is conn:
                 del self._conns[conn.endpoint]
             conn.writer.close()
-            if failure is None:
-                # the server closed without answering (drained, crashed,
-                # injected drop): every in-flight request's fate is unknown
-                failure = IndeterminateWriteError(
-                    f"{conn.endpoint} closed the connection mid-request"
-                )
             for fut in conn.pending.values():
                 if not fut.done():
-                    fut.set_exception(failure)
+                    fut.set_result(Lost(reason))
             conn.pending.clear()
 
-    async def _connect(self, endpoint: tuple[str, int], deadline: float) -> _AsyncConn:
+    async def _exchange(self, send: Send) -> Outcome:
+        """Carry out one :class:`Send` on the endpoint's pipelined connection."""
+        endpoint = send.endpoint
         conn = self._conns.get(endpoint)
-        if conn is not None:
-            return conn
-        budget = min(self.connect_timeout, deadline - monotonic())
-        if budget <= 0:
-            raise DeadlineExceeded(f"deadline expired connecting to {endpoint}")
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(*endpoint), budget
-            )
-        except (OSError, asyncio.TimeoutError) as err:
-            raise TransportError(f"cannot connect to {endpoint}: {err}") from err
-        conn = _AsyncConn(endpoint, reader, writer)
-        conn.reader_task = asyncio.create_task(self._read_loop(conn))
-        self._conns[endpoint] = conn
-        return conn
-
-    async def _exchange(
-        self, endpoint: tuple[str, int], payload: dict, deadline: float
-    ) -> dict:
-        """One pipelined request/response on one endpoint; raises on failure.
-
-        A response that never arrives abandons only this request's id;
-        other requests multiplexed on the connection are untouched.
-        """
-        conn = await self._connect(endpoint, deadline)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded(f"deadline expired before sending to {endpoint}")
-        rid = payload["id"]
+        if conn is None:
+            try:
+                reader, writer = await asyncio.wait_for(
+                    asyncio.open_connection(*endpoint, limit=MAX_LINE_BYTES),
+                    self._connect_budget(send),
+                )
+            except (OSError, asyncio.TimeoutError) as err:
+                return NotSent(f"cannot connect to {endpoint}: {err or type(err).__name__}")
+            conn = self._conns.get(endpoint)
+            if conn is not None:
+                # another caller connected while this one waited: share
+                # its connection rather than leak a second one
+                writer.close()
+            else:
+                conn = _AsyncConn(endpoint, reader, writer)
+                conn.reader_task = asyncio.create_task(self._read_loop(conn))
+                self._conns[endpoint] = conn
+        rid = send.payload["id"]
         fut: asyncio.Future = asyncio.get_running_loop().create_future()
         conn.pending[rid] = fut
-        data = (json.dumps(payload) + "\n").encode("utf-8")
         try:
             async with conn.write_lock:
-                conn.writer.write(data)
-                await asyncio.wait_for(conn.writer.drain(), remaining)
+                conn.writer.write(_encode(send.payload))
+                await asyncio.wait_for(conn.writer.drain(), max(send.deadline - monotonic(), 0))
         except (OSError, asyncio.TimeoutError) as err:
             conn.pending.pop(rid, None)
             self._abandon(conn)
-            raise IndeterminateWriteError(
-                f"connection to {endpoint} failed mid-request: {err}"
-            ) from err
-        remaining = deadline - monotonic()
+            return Lost(f"connection to {endpoint} failed mid-request: {err}")
         try:
-            return await asyncio.wait_for(fut, remaining if remaining > 0 else 0)
-        except asyncio.TimeoutError as err:
+            return await asyncio.wait_for(fut, max(send.deadline - monotonic(), 0))
+        except asyncio.TimeoutError:
             conn.pending.pop(rid, None)
-            raise IndeterminateWriteError(
-                f"no response from {endpoint} within the deadline"
-            ) from err
-
-    async def _sleep(self, attempt: int, deadline: float) -> None:
-        delay = _backoff_delay(self.backoff_base, self.backoff_cap, attempt, self._jitter)
-        remaining = deadline - monotonic()
-        if remaining <= 0:
-            raise DeadlineExceeded("retry budget exhausted")
-        if delay >= remaining:
-            await asyncio.sleep(remaining)
-            raise DeadlineExceeded("deadline expired during retry backoff")
-        await asyncio.sleep(delay)
-
-    # ------------------------------------------------------------------
-    # the request core
-    # ------------------------------------------------------------------
+            return Lost(f"no response from {endpoint} within the deadline")
 
     async def request(self, payload: dict, *, endpoint: str | tuple | None = None) -> dict:
         """Send one raw request object with the full resilience policy.
 
-        The async twin of :meth:`Client.request`: same endpoint
-        selection, same typed errors, same honest-write rules.
+        The async twin of :meth:`Client.request`: the same policy drives
+        both, so endpoint selection, typed errors and honest-write rules
+        are identical.
         """
-        op = payload.get("op")
-        self._seq += 1
-        payload = {"id": self._seq, **payload}
-        deadline = monotonic() + self.timeout
-        pinned = parse_address(endpoint) if endpoint is not None else None
-        if op in IDEMPOTENT_OPS:
-            return await self._request_idempotent(payload, deadline, pinned)
-        return await self._request_mutation(payload, deadline, pinned)
-
-    def _stamp_read_floor(self, payload: dict) -> dict:
-        if (
-            self.read_your_writes
-            and payload.get("op") in ("query", "batch")
-            and self.last_write_generation > 0
-            and "min_generation" not in payload
-        ):
-            payload = {
-                **payload,
-                "min_generation": self.last_write_generation,
-                "wait_timeout_s": self.wait_timeout_s,
-            }
-        return payload
-
-    def _stamp_deadline(self, payload: dict, deadline: float) -> dict:
-        """Propagate the remaining budget as ``deadline_ms`` (reads only)."""
-        if not self.propagate_deadline or "deadline_ms" in payload:
-            return payload
-        remaining_ms = int((deadline - monotonic()) * 1000)
-        if remaining_ms <= 0:
-            return payload
-        return {**payload, "deadline_ms": remaining_ms}
-
-    async def _request_idempotent(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        payload = self._stamp_read_floor(payload)
-        can_rotate = pinned is None and payload.get("op") in FAILOVER_OPS
-        endpoints = [pinned] if pinned is not None else self._endpoints
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            if can_rotate:
-                endpoint = endpoints[self._rotation % len(endpoints)]
-            else:
-                endpoint = endpoints[0] if pinned is not None else self._primary
-            try:
-                response = await self._exchange(
-                    endpoint, self._stamp_deadline(payload, deadline), deadline
-                )
-            except DeadlineExceeded:
-                raise
-            except (TransportError, IndeterminateWriteError) as err:
-                # idempotent: ambiguity is free to retry — rotate away
-                last_error = (
-                    err
-                    if isinstance(err, TransportError)
-                    else TransportError(str(err))
-                )
-                if can_rotate:
-                    self._rotation += 1
-            else:
-                if response.get("ok"):
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, StaleReadError) and can_rotate and len(endpoints) > 1:
-                    # this node is lagging; another may have caught up
-                    last_error = error
-                    self._rotation += 1
-                elif _retryable_frame(error):
-                    last_error = error
-                    if can_rotate:
-                        self._rotation += 1
+        policy = self._policy(payload, endpoint)
+        outcome = None
+        try:
+            while True:
+                step = policy.send(outcome)
+                if isinstance(step, Sleep):
+                    await asyncio.sleep(step.seconds)
+                    outcome = None
                 else:
-                    raise error
-            if attempt < self.retries:
-                await self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
+                    outcome = await self._exchange(step)
+        except StopIteration as done:
+            return done.value
 
-    async def _request_mutation(
-        self, payload: dict, deadline: float, pinned: tuple[str, int] | None
-    ) -> dict:
-        endpoint = pinned if pinned is not None else self._primary
-        redirected = False
-        last_error: ClientError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                response = await self._exchange(endpoint, payload, deadline)
-            except DeadlineExceeded:
-                raise
-            except TransportError as err:
-                # the connect itself failed: nothing was sent, retry is safe
-                last_error = err
-            except IndeterminateWriteError:
-                # bytes may have left — surface the ambiguity, never re-send
-                raise
-            else:
-                if response.get("ok"):
-                    generation = response.get("generation")
-                    if isinstance(generation, int):
-                        self.last_write_generation = max(
-                            self.last_write_generation, generation
-                        )
-                    return response
-                error = _typed_error(response)
-                if isinstance(error, OverloadedServerError):
-                    # shed at admission: the write never ran, retry is safe
-                    last_error = error
-                elif error.error_type == "deadline":
-                    raise IndeterminateWriteError(str(error)) from error
-                elif (
-                    isinstance(error, ReadOnlyServerError)
-                    and error.primary
-                    and not redirected
-                    and pinned is None
-                ):
-                    endpoint = parse_address(error.primary)
-                    self._primary = endpoint
-                    if endpoint not in self._endpoints:
-                        self._endpoints.insert(0, endpoint)
-                    redirected = True
-                    continue
-                else:
-                    raise error
-            if attempt < self.retries:
-                await self._sleep(attempt, deadline)
-        raise last_error if last_error is not None else TransportError("no endpoints")
-
-    # ------------------------------------------------------------------
-    # fan-out
-    # ------------------------------------------------------------------
+    async def promote(self, endpoint: str | tuple) -> dict:
+        """Flip the replica at ``endpoint`` writable and adopt it as primary."""
+        response = await self.request({"op": "promote"}, endpoint=endpoint)
+        self._adopt_primary(parse_address(endpoint))
+        return response
 
     async def fanout(
         self,
@@ -946,72 +768,3 @@ class AsyncClient:
                 return_exceptions=return_exceptions,
             )
         )
-
-    # ------------------------------------------------------------------
-    # typed helpers
-    # ------------------------------------------------------------------
-
-    async def ping(self) -> dict:
-        return await self.request({"op": "ping"})
-
-    async def query(
-        self,
-        query: str,
-        *,
-        vars: Sequence[str] | None = None,
-        semantics: str | None = None,
-        mode: str = "auto",
-        min_generation: int | None = None,
-        min_rel_generation: Mapping[str, int] | None = None,
-    ) -> dict:
-        payload: dict = {"op": "query", "query": query, "mode": mode}
-        if vars is not None:
-            payload["vars"] = list(vars)
-        if semantics is not None:
-            payload["semantics"] = semantics
-        if min_generation is not None:
-            payload["min_generation"] = min_generation
-            payload["wait_timeout_s"] = self.wait_timeout_s
-        if min_rel_generation:
-            payload["min_rel_generation"] = dict(min_rel_generation)
-            payload.setdefault("wait_timeout_s", self.wait_timeout_s)
-        return await self.request(payload)
-
-    async def insert(self, relation: str, rows: Iterable[Sequence]) -> dict:
-        return await self.request(
-            {"op": "insert", "relation": relation, "rows": list(rows)}
-        )
-
-    async def delete(self, relation: str, rows: Iterable[Sequence]) -> dict:
-        return await self.request(
-            {"op": "delete", "relation": relation, "rows": list(rows)}
-        )
-
-    async def apply_delta(
-        self,
-        adds: Mapping[str, list] | None = None,
-        removes: Mapping[str, list] | None = None,
-    ) -> dict:
-        payload: dict = {"op": "delta"}
-        if adds:
-            payload["adds"] = dict(adds)
-        if removes:
-            payload["removes"] = dict(removes)
-        return await self.request(payload)
-
-    async def checkpoint(self, *, endpoint: str | tuple | None = None) -> dict:
-        return await self.request({"op": "checkpoint"}, endpoint=endpoint)
-
-    async def promote(self, endpoint: str | tuple) -> dict:
-        """Flip the replica at ``endpoint`` writable and adopt it as primary."""
-        response = await self.request({"op": "promote"}, endpoint=endpoint)
-        self._primary = parse_address(endpoint)
-        if self._primary not in self._endpoints:
-            self._endpoints.insert(0, self._primary)
-        return response
-
-    async def stats(self, *, endpoint: str | tuple | None = None) -> dict:
-        return await self.request({"op": "stats"}, endpoint=endpoint)
-
-    async def health(self, *, endpoint: str | tuple | None = None) -> dict:
-        return await self.request({"op": "health"}, endpoint=endpoint)

@@ -399,7 +399,9 @@ def derive_columnar(
         return None
     ctx = ColumnarContext(new_instance, old_ctx.dictionary)
     new_rels = new_instance._relations
-    for name, rel in old_ctx._encoded.items():
+    # snapshot: concurrent readers may still be lazily encoding relations
+    # into the old context while we iterate
+    for name, rel in list(old_ctx._encoded.items()):
         if name not in changes and name in new_rels:
             ctx._encoded[name] = rel
     new_instance._cols = ctx

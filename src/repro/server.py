@@ -95,6 +95,11 @@ PROTO_VERSION = 2
 #: (in-order), a bare :class:`QueryService` likewise.
 FEATURES = ("pipelining", "deadline_ms")
 
+#: longest JSON-lines line, in bytes before the newline, that the asyncio
+#: core reads and that both clients accept; a longer request line is
+#: refused with a typed ``too_large`` frame (see ``docs/wire-protocol.md``)
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
 
 class _Reject(Exception):
     """A typed error response: ``fields`` ride along beside ``error``.
@@ -937,6 +942,30 @@ class _AsyncConn:
         self.tasks: set[asyncio.Task] = set()
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line, or what is left at EOF.
+
+    Past ``MAX_LINE_BYTES`` raises ``LimitOverrunError`` with the input
+    left unread, so :func:`_skip_line` can drop exactly that line.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as err:
+        return err.partial
+
+
+async def _skip_line(reader: asyncio.StreamReader) -> None:
+    """Drop input up to and including the next newline (or EOF)."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as err:
+            await reader.readexactly(err.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
 class AsyncServer:
     """An asyncio front end for a :class:`QueryService` (protocol v2).
 
@@ -1020,7 +1049,7 @@ class AsyncServer:
             max_workers=self.executor_threads, thread_name_prefix="repro-async"
         )
         self._server = await asyncio.start_server(
-            self._handle_conn, self._host, self._port
+            self._handle_conn, self._host, self._port, limit=MAX_LINE_BYTES
         )
         self.address = self._server.sockets[0].getsockname()[:2]
         return self
@@ -1163,15 +1192,13 @@ class AsyncServer:
     async def _read_requests(self, conn: _AsyncConn) -> None:
         while True:
             try:
-                if self.idle_timeout_s > 0:
-                    line = await asyncio.wait_for(
-                        conn.reader.readline(), self.idle_timeout_s
-                    )
-                else:
-                    line = await conn.reader.readline()
+                line = await self._idle(_read_line(conn.reader))
             except asyncio.TimeoutError:
                 return  # idle (or slowloris mid-frame): reap the connection
-            except (OSError, ValueError):
+            except asyncio.LimitOverrunError:
+                await self._refuse_long_line(conn)
+                return
+            except OSError:
                 return
             if not line:
                 return  # EOF
@@ -1199,6 +1226,33 @@ class AsyncServer:
             self._tasks.add(task)
             task.add_done_callback(conn.tasks.discard)
             task.add_done_callback(self._tasks.discard)
+
+    async def _refuse_long_line(self, conn: _AsyncConn) -> None:
+        """Answer a request line over ``MAX_LINE_BYTES`` with one typed frame.
+
+        The line was never parsed, so the frame has no ``id``.  The rest
+        of the line is read and dropped before the caller closes the
+        connection: closing a socket with unread input resets it, which
+        could destroy the frame before the client reads it.
+        """
+        self.service.bump("requests")
+        self.service.bump("errors")
+        await self._write(
+            conn,
+            json.dumps(
+                {
+                    "ok": False,
+                    "error": f"too_large: request line exceeds {MAX_LINE_BYTES} bytes",
+                    "error_type": "too_large",
+                    "max_line_bytes": MAX_LINE_BYTES,
+                }
+            ),
+        )
+        await self._idle(_skip_line(conn.reader))
+
+    def _idle(self, aw):
+        """``aw``, bounded by ``idle_timeout_s`` when one is set."""
+        return asyncio.wait_for(aw, self.idle_timeout_s) if self.idle_timeout_s > 0 else aw
 
     # ------------------------------------------------------------------
     # per-request task

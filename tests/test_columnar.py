@@ -385,6 +385,29 @@ class TestDictionaryEdgeCases:
             map(derived.dictionary.decode_row, re_encoded.row_set())
         ) == new.tuples("R")
 
+    def test_derive_survives_a_reader_encoding_mid_derive(self):
+        """Regression: a reader lazily encoding a relation into the old
+        context while a write derives from it used to fail the write
+        with "dictionary changed size during iteration".  The reader is
+        interleaved deterministically through the ``changes`` lookup the
+        derive loop makes for every encoded relation."""
+        old = Instance({"R": [(1, 2)], "S": [(3,)], "T": [(4,)]})
+        cctx = columnar_context(old)
+        cctx.encoded("R")
+        new, changes = old.with_delta(adds={"R": [(5, 6)]})
+
+        class ReaderInterleaved(dict):
+            def __contains__(self, name):
+                for other in ("S", "T"):
+                    cctx.encoded(other)  # a concurrent reader's lazy insert
+                return super().__contains__(name)
+
+        derived = derive_columnar(old, new, ReaderInterleaved(changes))
+        assert derived is new._cols
+        assert frozenset(
+            map(derived.dictionary.decode_row, derived.encoded("R").row_set())
+        ) == new.tuples("R")
+
     def test_derive_noop_when_never_encoded(self):
         old = Instance({"R": [(1, 2)]})
         new, changes = old.with_delta(adds={"R": [(3, 4)]})

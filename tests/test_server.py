@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+from repro.client import Client, ServerError
 from repro.data.values import Null
-from repro.server import QueryService, serve
+from repro.server import MAX_LINE_BYTES, QueryService, async_serve, serve
 from repro.session import Database
 
 X = Null("x")
@@ -255,6 +256,32 @@ class TestTCPServer:
                 writer.flush()
                 assert json.loads(reader.readline())["id"] == "abc"
         db.close()
+
+
+class TestLineLimit:
+    """The asyncio core reads lines up to ``MAX_LINE_BYTES``; beyond it a
+    request line gets one typed ``too_large`` frame, then the close."""
+
+    def test_over_long_request_line_gets_a_typed_frame_then_close(self):
+        server = async_serve(Database({"R": [(1, 2)]}))
+        try:
+            huge = [["x" * MAX_LINE_BYTES]]
+            line = json.dumps({"op": "insert", "relation": "R", "rows": huge}) + "\n"
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(line.encode())
+                reader = sock.makefile("rb")
+                frame = json.loads(reader.readline())
+                assert frame["error_type"] == "too_large" and not frame["ok"]
+                assert frame["max_line_bytes"] == MAX_LINE_BYTES
+                assert reader.readline() == b""  # then the server closes
+            with Client(server.address) as client:
+                # the server survived, and the refused write never applied
+                assert client.query("R(x, y)")["answers"] == [[1, 2]]
+                with pytest.raises(ServerError) as err:
+                    client.insert("R", huge)
+                assert err.value.error_type == "too_large"
+        finally:
+            server.shutdown()
 
 
 class TestPersistentWorkerPool:
