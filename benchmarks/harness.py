@@ -869,6 +869,69 @@ def serving(quick: bool) -> list[dict]:
             "mutation_us": round(mutation_t * 1e6, 2),
         }
     )
+    rows.extend(_write_requery_scaling(quick))
+    return rows
+
+
+def _write_requery_scaling(quick: bool) -> list[dict]:
+    """The write→requery path against the size of the written relation.
+
+    A single-row write to R alternates with a requery of R, so every
+    read misses the result cache and runs on the instance the write
+    produced: the encoded columns, indexes and domain it carried
+    forward.  The write (insert or delete of one of a few toggled rows,
+    so |R| stays put) and the requery are timed separately; each row
+    reports medians.  The remaining O(|R|) cost is C-speed copying
+    (``with_delta``'s frozenset copy), so no ratio is asserted.
+    """
+    from repro.session import Database
+
+    sizes = (1_000, 10_000) if quick else (1_000, 10_000, 100_000)
+    n_writes = 40 if quick else 100
+    print(f"\n{'write+requery vs |R|':<28} {'insert':>12} {'delete':>12} {'requery':>12}")
+    rule()
+    rows = []
+    for n in sizes:
+        rng = random.Random(n)
+        domain = n // 2
+        r_rows: set[tuple] = set()
+        while len(r_rows) < n:
+            r_rows.add((rng.randrange(domain), rng.randrange(domain)))
+        s_vals = rng.sample(range(domain), 100)
+        hot = domain  # a constant R does not hold, so the answer toggles
+        toggles = [(hot, v) for v in s_vals[:4]]
+        db = Database({"R": list(r_rows), "S": [(v,) for v in s_vals]})
+        q = db.query(f"exists y (R({hot}, y) & S(y))")
+        q.evaluate()
+        inserts, deletes, reads = [], [], []
+        for i in range(n_writes):
+            row = toggles[i // 2 % len(toggles)]
+            start = time.perf_counter()
+            if i % 2:
+                db.delete("R", row)
+            else:
+                db.insert("R", row)
+            mid = time.perf_counter()
+            got = q.evaluate().answers
+            reads.append(time.perf_counter() - mid)
+            (deletes if i % 2 else inserts).append(mid - start)
+            assert got == (frozenset() if i % 2 else frozenset({()})), (n, i, got)
+        insert_ms, delete_ms, requery_ms = (
+            sorted(xs)[len(xs) // 2] * 1e3 for xs in (inserts, deletes, reads)
+        )
+        print(
+            f"{f'{n} rows':<28} {insert_ms:>10.3f}ms {delete_ms:>10.3f}ms "
+            f"{requery_ms:>10.3f}ms"
+        )
+        rows.append(
+            {
+                "workload": "serving_write_requery",
+                "n_rows": n,
+                "insert_ms": round(insert_ms, 4),
+                "delete_ms": round(delete_ms, 4),
+                "requery_ms": round(requery_ms, 4),
+            }
+        )
     return rows
 
 

@@ -292,7 +292,9 @@ def make_plan(
         # arithmetic identity with len(default_pool(instance, query)):
         # the base constants plus |nulls|+1 fresh values — avoids
         # materialising and sorting a pool just for a cost hint
-        pool_size = len(instance.constants() | query.constants()) + null_count + 1
+        constants = instance.constants()
+        extra = sum(1 for c in query.constants() if c not in constants)
+        pool_size = len(constants) + extra + null_count + 1
     raw_bound = pool_size**null_count
     bound = raw_bound if raw_bound <= _VALUATION_CAP else -1
     chosen_workers = 0

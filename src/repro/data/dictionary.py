@@ -38,9 +38,11 @@ as ``{(1,), (True,)}`` is a one-element frozenset.
 from __future__ import annotations
 
 import threading
+import weakref
 from array import array
 from typing import Hashable, Iterable, Mapping, Sequence
 
+from repro.data.indexes import _patched_index
 from repro.data.instance import Instance
 from repro.data.values import Null
 
@@ -179,12 +181,12 @@ class EncodedRelation:
         "columns",
         "_rows",
         "_row_set",
+        "_positions",
         "_indexes",
         "_key_sets",
         "_np_cols",
         "_np_orders",
         "_sorted_rows",
-        "_distinct",
     )
 
     def __init__(self, arity: int, columns: tuple[array, ...]):
@@ -193,12 +195,12 @@ class EncodedRelation:
         self.columns = columns
         self._rows: list[tuple[int, ...]] | None = None
         self._row_set: frozenset[tuple[int, ...]] | None = None
+        self._positions: dict[tuple[int, ...], int] | None = None
         self._indexes: dict[tuple[int, ...], dict] = {}
         self._key_sets: dict[int, frozenset[int]] = {}
         self._np_cols: dict[int, object] = {}
         self._np_orders: dict[int, tuple[object, object]] = {}
         self._sorted_rows: dict[int, list[tuple[int, ...]]] = {}
-        self._distinct: dict[int, int] = {}
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple], dictionary: Dictionary) -> "EncodedRelation":
@@ -228,6 +230,58 @@ class EncodedRelation:
         if self._row_set is None:
             self._row_set = frozenset(self.row_tuples())
         return self._row_set
+
+    def patched(
+        self, added: Sequence[tuple[int, ...]], removed: Sequence[tuple[int, ...]]
+    ) -> "EncodedRelation":
+        """A new encoded relation with the encoded delta applied.
+
+        ``removed`` rows must be present and ``added`` rows absent and
+        of this arity (an effective delta).  The receiver is never
+        touched — readers of the pre-mutation instance still use it.
+        Columns and the row list are copied at C speed, removed rows
+        are swap-deleted (the last row moves into the hole, so row
+        order is not preserved; no kernel depends on it), added rows
+        are appended, and every built hash index is patched
+        copy-on-write by the same routine the row context uses.  The
+        row set and the row → position map are carried too; the
+        cheap-to-rebuild caches (key sets, numpy views and argsorts,
+        sorted runs) start empty.
+        """
+        rows = list(self.row_tuples())
+        columns = tuple(col[:] for col in self.columns)
+        positions = self._positions
+        if positions is not None:
+            positions = positions.copy()  # a C memcpy even after deletions, unlike dict()
+        elif removed:
+            positions = dict(zip(rows, range(len(rows))))
+        for row in removed:
+            hole = positions.pop(row)
+            last = rows.pop()
+            if hole < len(rows):
+                rows[hole] = last
+                positions[last] = hole
+                for col in columns:
+                    col[hole] = col[-1]
+            for col in columns:
+                col.pop()
+        for row in added:
+            if positions is not None:
+                positions[row] = len(rows)
+            rows.append(row)
+            for col, code in zip(columns, row):
+                col.append(code)
+        out = EncodedRelation(self.arity, columns)
+        out._rows = rows
+        out._positions = positions
+        row_set = self._row_set
+        if row_set is not None:
+            if removed:
+                row_set = row_set.difference(removed)
+            out._row_set = row_set.union(added) if added else row_set
+        for key_positions, idx in list(self._indexes.items()):
+            out._indexes[key_positions] = _patched_index(idx, key_positions, added, removed)
+        return out
 
     # ------------------------------------------------------------------
     # access paths (all lazy, all memoised)
@@ -302,21 +356,37 @@ class ColumnarContext:
     query only pays for the relations it scans.  Cached on the instance
     (``instance._cols``), which is sound for the same reason the row
     context is: instances are immutable, mutation swaps the instance.
+
+    The context holds the instance's relations dict but only a *weak*
+    reference to the instance itself (for its cached domain): a strong
+    one would close a cycle through ``instance._cols``, and every
+    superseded instance of a session — with its encoded relations —
+    would then wait for the cyclic garbage collector instead of being
+    freed by reference counting the moment the session lets go of it.
     """
 
-    __slots__ = ("dictionary", "_instance", "_encoded", "_adom_codes")
+    __slots__ = ("dictionary", "_relations", "_owner", "_encoded", "_adom_codes")
 
     def __init__(self, instance: Instance, dictionary: Dictionary):
         self.dictionary = dictionary
-        self._instance = instance
+        self._relations = instance._relations
+        self._owner = weakref.ref(instance)
         self._encoded: dict[str, EncodedRelation] = {}
         self._adom_codes: frozenset[int] | None = None
+
+    def _instance(self) -> Instance:
+        owner = self._owner()
+        if owner is None:
+            # a caller kept the context past its instance: the relations
+            # are immutable, so an equal instance answers domain queries
+            owner = Instance._wrap(self._relations)
+        return owner
 
     def encoded(self, name: str) -> EncodedRelation | None:
         """The encoded relation, built on first access (``None`` if absent)."""
         rel = self._encoded.get(name)
         if rel is None:
-            rows = self._instance._relations.get(name)
+            rows = self._relations.get(name)
             if rows is None:
                 return None
             rel = EncodedRelation.from_rows(rows, self.dictionary)
@@ -327,7 +397,7 @@ class ColumnarContext:
         """The active domain as a set of codes (lazily encoded)."""
         if self._adom_codes is None:
             encode = self.dictionary.encode
-            self._adom_codes = frozenset(map(encode, self._instance.adom()))
+            self._adom_codes = frozenset(map(encode, self._instance().adom()))
         return self._adom_codes
 
     def try_encode_key(self, values: Sequence[Hashable]) -> tuple[int, ...] | None:
@@ -349,14 +419,16 @@ class ColumnarContext:
         the pseudo-relation ``"%adom"`` carries the domain size.  No
         encoding is forced — counts come straight off the row sets.
         """
-        rels = self._instance._relations
-        parts = [(name, 1 << max(len(rows) - 1, 0).bit_length()) for name, rows in rels.items()]
-        parts.append(("%adom", 1 << max(len(self._instance.adom()) - 1, 0).bit_length()))
+        parts = [
+            (name, 1 << max(len(rows) - 1, 0).bit_length())
+            for name, rows in self._relations.items()
+        ]
+        parts.append(("%adom", 1 << max(len(self._instance().adom()) - 1, 0).bit_length()))
         return tuple(sorted(parts))
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarContext({len(self._encoded)}/{len(self._instance._relations)} "
+            f"ColumnarContext({len(self._encoded)}/{len(self._relations)} "
             f"relations encoded; {self.dictionary!r})"
         )
 
@@ -385,9 +457,14 @@ def derive_columnar(
     The analogue of :func:`repro.data.indexes.derive_context` for the
     encoded world: the ancestor's dictionary is carried forward (codes
     stay stable — the interning invariant the differential tests pin),
-    and the encoded relations of **untouched** relations are shared
+    the encoded relations of **untouched** relations are shared
     outright, bringing their indexes, numpy views and sort runs along
-    for free.  Touched relations re-encode lazily on next access.
+    for free, and those of **touched** relations are patched
+    (:meth:`EncodedRelation.patched`), so only the delta's cells go
+    through the dictionary.  A touched relation whose arity changed
+    under full replacement re-encodes lazily on next access.  The
+    encoded active domain is carried when the instance's domain cache
+    was (see :meth:`Instance.with_delta`).
 
     No-op (returns ``None``) when the ancestor was never encoded — a
     database that never ran the columnar engine pays nothing here.
@@ -398,11 +475,37 @@ def derive_columnar(
     if old_ctx is None:
         return None
     ctx = ColumnarContext(new_instance, old_ctx.dictionary)
+    encode_row = old_ctx.dictionary.encode_row
     new_rels = new_instance._relations
     # snapshot: concurrent readers may still be lazily encoding relations
     # into the old context while we iterate
     for name, rel in list(old_ctx._encoded.items()):
-        if name not in changes and name in new_rels:
+        if name not in new_rels:
+            continue
+        if name not in changes:
             ctx._encoded[name] = rel
+            continue
+        added, removed = changes[name]
+        if any(len(row) != rel.arity for row in added):
+            continue  # arity changed under full replacement: re-encode lazily
+        ctx._encoded[name] = rel.patched(
+            [encode_row(row) for row in added], [encode_row(row) for row in removed]
+        )
+    ctx._adom_codes = _carried_adom_codes(old_instance, new_instance, old_ctx)
     new_instance._cols = ctx
     return ctx
+
+
+def _carried_adom_codes(
+    old_instance: Instance, new_instance: Instance, old_ctx: ColumnarContext
+) -> frozenset[int] | None:
+    """The new encoded domain from the old one, when both domains are known."""
+    codes = old_ctx._adom_codes
+    old_adom, new_adom = old_instance._adom, new_instance._adom
+    if codes is None or old_adom is None or new_adom is None:
+        return None
+    if new_adom is old_adom:
+        return codes
+    encode = old_ctx.dictionary.encode
+    gone = frozenset(map(encode, old_adom - new_adom))
+    return (codes - gone) | frozenset(map(encode, new_adom - old_adom))

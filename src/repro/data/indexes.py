@@ -174,7 +174,7 @@ def _patched_index(
     so patching costs ``O(buckets + |delta|)`` instead of the
     ``O(rows)`` of a rebuild.
     """
-    out = dict(idx)
+    out = idx.copy()  # a C memcpy even after deletions, unlike dict()
     copied: set[tuple] = set()
 
     def own_bucket(key: tuple) -> list[tuple]:

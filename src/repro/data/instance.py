@@ -14,6 +14,8 @@ all the time).
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.data.schema import Schema, SchemaError
@@ -22,6 +24,43 @@ from repro.data.values import Null, sort_key
 __all__ = ["Instance", "Fact"]
 
 Fact = tuple[str, tuple[Hashable, ...]]
+
+_EMPTY: frozenset[tuple] = frozenset()
+
+
+def _touched(*sides: Mapping[str, Iterable[tuple]] | None) -> list[str]:
+    """The relation names a delta touches, validated, in sorted order."""
+    names: set[str] = set()
+    for side in sides:
+        for name in side or ():
+            if not isinstance(name, str) or not name:
+                raise SchemaError(f"relation name must be a non-empty string, got {name!r}")
+            names.add(name)
+    return sorted(names)
+
+
+def _delta_rows(side: Mapping[str, Iterable[tuple]] | None, name: str) -> set[tuple]:
+    if not side or name not in side:
+        return set()
+    return {tuple(row) for row in side[name]}
+
+
+def _check_arity(name: str, adds: set[tuple], surviving: int | None) -> None:
+    """Reject a delta that would leave ``name`` with mixed or zero arity.
+
+    ``surviving`` is the arity of the rows the delta leaves in place
+    (``None`` when it removes them all: full replacement may change the
+    arity), so the check reads the delta's rows, never the relation's.
+    """
+    arities = {len(row) for row in adds}
+    if surviving is not None:
+        arities.add(surviving)
+    if len(arities) > 1:
+        raise SchemaError(
+            f"relation {name!r} would have tuples of mixed arities {sorted(arities)}"
+        )
+    if arities == {0}:
+        raise SchemaError(f"relation {name!r} would have zero-arity tuples")
 
 
 class Instance:
@@ -38,7 +77,18 @@ class Instance:
     False
     """
 
-    __slots__ = ("_relations", "_hash", "_adom", "_sorted_adom", "_ctx", "_cols")
+    __slots__ = (
+        "_relations",
+        "_hash",
+        "_adom",
+        "_sorted_adom",
+        "_nulls",
+        "_consts",
+        "_counts",
+        "_ctx",
+        "_cols",
+        "__weakref__",
+    )
 
     def __init__(self, relations: Mapping[str, Iterable[tuple]] | None = None):
         rels: dict[str, frozenset[tuple]] = {}
@@ -55,15 +105,32 @@ class Instance:
                 raise SchemaError(f"relation {name!r} has zero-arity tuples")
             if frozen:
                 rels[name] = frozen
-        self._relations = rels
+        self._init_caches(rels)
+
+    def _init_caches(self, relations: dict[str, frozenset[tuple]]) -> None:
+        self._relations = relations
         self._hash: int | None = None
         # Lazily computed derived views.  Instances are immutable value
         # objects, so caching them on the instance is always sound: a
-        # "mutation" builds a new Instance with fresh (empty) caches.
+        # "mutation" builds a new Instance whose caches start empty or
+        # are patched from its ancestor's (see with_delta).
         self._adom: frozenset[Hashable] | None = None
         self._sorted_adom: tuple[Hashable, ...] | None = None
+        self._nulls: frozenset[Null] | None = None
+        self._consts: frozenset[Hashable] | None = None
+        # occurrences of each adom value across all cells; built on the
+        # first write after the domain was asked for, then carried
+        # copy-on-write so a delete can tell which values vanished
+        self._counts: dict[Hashable, int] | None = None
         self._ctx = None  # execution context (repro.data.indexes)
         self._cols = None  # columnar context (repro.data.dictionary)
+
+    @classmethod
+    def _wrap(cls, relations: dict[str, frozenset[tuple]]) -> "Instance":
+        """An instance over already frozen, validated, non-empty relations."""
+        out = cls.__new__(cls)
+        out._init_caches(relations)
+        return out
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -142,12 +209,22 @@ class Instance:
         return self._sorted_adom
 
     def nulls(self) -> frozenset[Null]:
-        """The nulls occurring in the instance (``Null(D)``)."""
-        return frozenset(v for v in self.adom() if isinstance(v, Null))
+        """The nulls occurring in the instance (``Null(D)``, cached)."""
+        if self._nulls is None:
+            self._split_adom()
+        return self._nulls
 
     def constants(self) -> frozenset[Hashable]:
-        """The constants occurring in the instance (``Const(D)``)."""
-        return frozenset(v for v in self.adom() if not isinstance(v, Null))
+        """The constants occurring in the instance (``Const(D)``, cached)."""
+        if self._consts is None:
+            self._split_adom()
+        return self._consts
+
+    def _split_adom(self) -> None:
+        adom = self.adom()
+        nulls = frozenset(v for v in adom if isinstance(v, Null))
+        self._consts = adom - nulls
+        self._nulls = nulls
 
     def is_complete(self) -> bool:
         """True iff no nulls occur (``adom(D) ⊆ Const``)."""
@@ -252,65 +329,128 @@ class Instance:
         additions, so a row in both ends up present.
 
         Unlike :meth:`union`/:meth:`difference` — which re-freeze every
-        relation — this shares the untouched relations' row sets (and,
-        via :func:`repro.data.indexes.derive_context`, their hash
-        indexes) with the receiver, making mutation cost proportional to
-        the delta, not the instance.  The session layer's mutation API
-        (``Database.insert``/``delete``/``apply_delta``) is built on it.
+        relation — this shares the untouched relations' row sets with
+        the receiver, and the Python-level work is proportional to the
+        delta: arity is checked against the delta and one surviving row,
+        and the active domain, :meth:`nulls` and :meth:`constants`
+        caches are patched from per-value occurrence counts.  What stays
+        O(|relation|) is C-speed copying: each touched relation is
+        re-frozen by one ``frozenset`` operation, and the counts are
+        carried by one ``dict`` copy.  The session layer's mutation API
+        (``Database.insert``/``delete``/``apply_delta``) is built on it,
+        and carries the hash indexes and encoded columns forward too
+        (:func:`repro.data.indexes.derive_context`,
+        :func:`repro.data.dictionary.derive_columnar`).
         """
         rels = dict(self._relations)
         changes: dict[str, tuple[frozenset, frozenset]] = {}
-        touched: set[str] = set()
-        for source in (removes, adds):
-            for name in source or ():
-                if not isinstance(name, str) or not name:
-                    raise SchemaError(
-                        f"relation name must be a non-empty string, got {name!r}"
-                    )
-                touched.add(name)
-        for name in sorted(touched):
-            old = self._relations.get(name, frozenset())
-            new = set(old)
-            if removes and name in removes:
-                new.difference_update(tuple(r) for r in removes[name])
-            if adds and name in adds:
-                new.update(tuple(r) for r in adds[name])
-            arities = {len(r) for r in new}
-            if len(arities) > 1:
-                raise SchemaError(
-                    f"relation {name!r} would have tuples of mixed arities {sorted(arities)}"
-                )
-            if arities == {0}:
-                raise SchemaError(f"relation {name!r} would have zero-arity tuples")
-            frozen = frozenset(new)
-            added, removed = frozen - old, old - frozen
+        for name in _touched(adds, removes):
+            old = self._relations.get(name, _EMPTY)
+            rem = _delta_rows(removes, name)
+            add = _delta_rows(adds, name)
+            gone = old & rem if rem else _EMPTY
+            _check_arity(name, add, len(next(iter(old))) if len(old) > len(gone) else None)
+            removed = gone - add
+            added = frozenset(add - old)
             if not added and not removed:
                 continue
             changes[name] = (added, removed)
+            frozen = old - removed if removed else old
+            if added:
+                frozen |= added
             if frozen:
                 rels[name] = frozen
             else:
                 del rels[name]
         if not changes:
             return self, changes
-        out = Instance.__new__(Instance)
-        out._relations = rels
-        out._hash = None
-        out._sorted_adom = None
-        out._ctx = None
-        out._cols = None
-        if self._adom is not None and not any(rem for _add, rem in changes.values()):
-            # insert-only delta: the active domain only grows, so it can
-            # be carried over incrementally; deletions force a lazy
-            # recount (a removed value may still occur elsewhere)
-            grown = set(self._adom)
-            for added, _removed in changes.values():
-                for row in added:
-                    grown.update(row)
-            out._adom = frozenset(grown)
-        else:
-            out._adom = None
+        out = Instance._wrap(rels)
+        self._carry_domain(out, changes)
         return out, changes
+
+    def with_deltas(
+        self,
+        deltas: Iterable[tuple[Mapping | None, Mapping | None]],
+    ) -> "Instance":
+        """Apply a sequence of ``(adds, removes)`` deltas in order.
+
+        The same result, and the same checks, as chaining
+        :meth:`with_delta` over ``deltas``, but each touched relation is
+        loaded into a mutable set once and frozen once at the end, so a
+        long sequence (WAL replay) costs O(|delta rows|) plus one copy
+        per touched relation instead of one copy per delta.
+        """
+        working: dict[str, set[tuple]] = {}
+        for adds, removes in deltas:
+            for name in _touched(adds, removes):
+                rows = working.get(name)
+                if rows is None:
+                    rows = working[name] = set(self._relations.get(name, _EMPTY))
+                rows.difference_update(_delta_rows(removes, name))
+                add = _delta_rows(adds, name)
+                _check_arity(name, add, len(next(iter(rows))) if rows else None)
+                rows.update(add)
+        if not working:
+            return self
+        rels = dict(self._relations)
+        for name, rows in working.items():
+            if rows:
+                rels[name] = frozenset(rows)
+            else:
+                rels.pop(name, None)
+        return Instance._wrap(rels)
+
+    def _occurrences(self) -> dict[Hashable, int]:
+        """How often each active-domain value occurs across all cells (cached)."""
+        if self._counts is None:
+            cells = chain.from_iterable(chain.from_iterable(self._relations.values()))
+            self._counts = dict(Counter(cells))
+        return self._counts
+
+    def _carry_domain(self, out: "Instance", changes: Mapping[str, tuple]) -> None:
+        """Seed ``out``'s domain caches from this instance's, in delta time.
+
+        The occurrence counts are copied (copy-on-write: this instance
+        keeps its own) and patched, which tells exactly which values
+        vanished and which appeared; the cached frozensets are shared
+        outright when neither happened.  Nothing is carried when nobody
+        has asked this instance for its domain.
+        """
+        if self._adom is None:
+            return
+        before = self._occurrences()
+        counts = before.copy()  # a C memcpy even after deletions, unlike dict()
+        vanished = []
+        for _added, removed in changes.values():
+            for row in removed:
+                for value in row:
+                    left = counts[value] - 1
+                    if left:
+                        counts[value] = left
+                    else:
+                        del counts[value]
+                        vanished.append(value)
+        appeared = []
+        for added, _removed in changes.values():
+            for row in added:
+                for value in row:
+                    seen = counts.get(value, 0)
+                    counts[value] = seen + 1
+                    if not seen:
+                        appeared.append(value)
+        gone = {v for v in vanished if v not in counts}
+        new = {v for v in appeared if v not in before}
+        out._counts = counts
+        if not gone and not new:
+            out._adom, out._sorted_adom = self._adom, self._sorted_adom
+            out._nulls, out._consts = self._nulls, self._consts
+            return
+        out._adom = (self._adom - gone) | new
+        if self._nulls is not None:
+            gone_nulls = {v for v in gone if isinstance(v, Null)}
+            new_nulls = {v for v in new if isinstance(v, Null)}
+            out._nulls = (self._nulls - gone_nulls) | new_nulls
+            out._consts = (self._consts - (gone - gone_nulls)) | (new - new_nulls)
 
     # ------------------------------------------------------------------
     # equality / hashing / rendering

@@ -22,8 +22,9 @@ The session is **long-lived and mutable**: :meth:`Database.insert`,
 instance *incrementally* — the untouched relations keep their frozen
 row sets, hash indexes (:func:`repro.data.indexes.derive_context`) and
 dictionary-encoded columns (:func:`repro.data.dictionary.derive_columnar`),
-and invalidation is tracked by **per-relation generation counters**
-instead of one global epoch.  A prepared query's cached plan survives
+the touched ones have theirs patched with the delta, and invalidation
+is tracked by **per-relation generation counters** instead of one
+global epoch.  A prepared query's cached plan survives
 writes to relations it never mentions, and a bounded **result cache**
 (keyed by query value × backend × the generations of the relations the
 compiled plan actually reads) turns repeated evaluation into a lookup
@@ -589,9 +590,10 @@ class Database:
         Incremental: untouched relations keep their frozen row sets and
         every hash index ever built for them; touched relations get
         their cached indexes patched copy-on-write
-        (:func:`repro.data.indexes.derive_context`), and only their
-        generation counters bump — cached plans and results of queries
-        that do not read them stay valid.
+        (:func:`repro.data.indexes.derive_context`) and their encoded
+        columns patched (:func:`repro.data.dictionary.derive_columnar`),
+        and only their generation counters bump — cached plans and
+        results of queries that do not read them stay valid.
 
         Durable sessions journal first: the effective delta is appended
         to the write-ahead log *before* the new instance publishes, and

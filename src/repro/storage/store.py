@@ -6,12 +6,14 @@
     <data-dir>/wal.repro        deltas acknowledged since that checkpoint
 
 Recovery (:meth:`Storage.open`) is *load snapshot, replay the WAL
-tail*: each replayed record re-applies its effective delta through
-:meth:`~repro.data.instance.Instance.with_delta` and restores the exact
-generation counters the session had when it acknowledged the write.  A
-torn final record (crash mid-append) is ignored and truncated; records
-the snapshot already contains (a crash between snapshot publish and log
-truncate) are skipped by comparing generations — replay is idempotent.
+tail*: the replayed records' effective deltas are folded in order
+through :meth:`~repro.data.instance.Instance.with_deltas` (each touched
+relation copied and frozen once, however many records touch it), and
+the exact generation counters the session had when it acknowledged the
+last write are restored.  A torn final record (crash mid-append) is
+ignored and truncated; records the snapshot already contains (a crash
+between snapshot publish and log truncate) are skipped by comparing
+generations — replay is idempotent.
 
 Compaction (:meth:`checkpoint`) writes a fresh snapshot and truncates
 the log; :meth:`should_compact` makes it size- and age-triggered
@@ -149,28 +151,25 @@ class Storage:
         else:
             state = SnapshotState(Instance.empty())
         records, torn = self.wal.replay()
-        instance = state.instance
-        generation = state.generation
+        # records the snapshot already contains are skipped: it was
+        # published after them but the crash hit before the log was
+        # truncated
+        live = [record for record in records if record["g"] > state.generation]
+        # one fold over the tail: each touched relation is copied once and
+        # frozen once, not once per record
+        instance = state.instance.with_deltas(
+            (_decode_side(record.get("adds")), _decode_side(record.get("removes")))
+            for record in live
+        )
+        generation = live[-1]["g"] if live else state.generation
         rel_gens = dict(state.rel_gens)
-        replayed = skipped = 0
-        for record in records:
-            if record["g"] <= state.generation:
-                # the snapshot was published after this record but the
-                # crash hit before the log was truncated: already applied
-                skipped += 1
-                continue
-            adds = _decode_side(record.get("adds"))
-            removes = _decode_side(record.get("removes"))
-            instance, _changes = instance.with_delta(adds, removes)
-            generation = record["g"]
-            for name, gen in record.get("rg", {}).items():
-                rel_gens[name] = gen
-            replayed += 1
+        for record in live:
+            rel_gens.update(record.get("rg", {}))
         self.wal.open_for_append()
         self.recovery = RecoveryInfo(
             snapshot_generation=state.generation,
-            wal_records=replayed,
-            wal_skipped=skipped,
+            wal_records=len(live),
+            wal_skipped=len(records) - len(live),
             torn_bytes=torn,
             had_snapshot=had_snapshot,
         )

@@ -171,6 +171,12 @@ class TestColumnarContext:
         cctx = columnar_context(inst)
         assert frozenset(map(cctx.dictionary.decode, cctx.adom_codes())) == inst.adom()
 
+    def test_context_outliving_its_instance_still_answers(self):
+        # the context refers to its instance weakly (no reference cycle)
+        cctx = columnar_context(Instance({"R": [(1, X), (2, 3)]}))
+        assert frozenset(map(cctx.dictionary.decode, cctx.adom_codes())) == {1, 2, 3, X}
+        assert dict(cctx.stats_key()) == {"R": 2, "%adom": 4}
+
     def test_stats_key_buckets_to_powers_of_two(self):
         inst = Instance({"R": [(i, i + 1) for i in range(5)], "S": [(1,)]})
         key = dict(columnar_context(inst).stats_key())
@@ -407,6 +413,75 @@ class TestDictionaryEdgeCases:
         assert frozenset(
             map(derived.dictionary.decode_row, derived.encoded("R").row_set())
         ) == new.tuples("R")
+
+    def test_patched_relation_equals_fresh_encoding(self):
+        """`derive_columnar` patches a touched relation: same rows and
+        the same index contents as encoding the new relation from
+        scratch, while the old relation and its indexes stay as they
+        were."""
+        old = Instance({"R": [(i, i % 3) for i in range(12)] + [(X, 1)]})
+        cctx = columnar_context(old)
+        before = cctx.encoded("R")
+        before.row_set()
+        idx = before.index((1,))
+        kept_rows, kept_cols = list(before.row_tuples()), [list(c) for c in before.columns]
+        kept_idx = {k: list(v) for k, v in idx.items()}
+        new, changes = old.with_delta(
+            adds={"R": [(20, 2), (Y, Y)]}, removes={"R": [(0, 0), (11, 2), (X, 1)]}
+        )
+        derived = derive_columnar(old, new, changes).encoded("R")
+        d = cctx.dictionary
+        fresh = EncodedRelation.from_rows(new.tuples("R"), d)
+        assert derived is not before and derived.n_rows == fresh.n_rows
+        assert derived.row_set() == frozenset(derived.row_tuples()) == fresh.row_set()
+        assert set(zip(*derived.columns)) == fresh.row_set()
+        assert {k: set(v) for k, v in derived._indexes[(1,)].items()} == {
+            k: set(v) for k, v in fresh.index((1,)).items()
+        }
+        assert before.row_tuples() == kept_rows
+        assert [list(c) for c in before.columns] == kept_cols
+        assert {k: list(v) for k, v in idx.items()} == kept_idx
+
+    def test_arity_change_re_encodes_lazily(self):
+        old = Instance({"R": [(1, 2)]})
+        columnar_context(old).encoded("R")
+        new, changes = old.with_delta(adds={"R": [(3, 4, 5)]}, removes={"R": [(1, 2)]})
+        derived = derive_columnar(old, new, changes)
+        assert "R" not in derived._encoded
+        assert derived.encoded("R").arity == 3
+
+    def test_requery_after_write_encodes_only_the_delta(self, monkeypatch):
+        """The write→requery path by counts: after a single-row write to
+        a 20k-row relation, the next read encodes no relation from rows
+        and interns only the delta's cells."""
+        rows = [(i, (i * 7919) % 10_000) for i in range(20_000)]
+        db = Database({"R": rows, "S": [(v,) for v in range(0, 10_000, 10)]})
+        q = db.query("exists y (R(c, y) & S(y))", vars=("c",))
+        q.evaluate()
+        calls = {"from_rows": 0, "encode": 0}
+        real_from_rows, real_encode = EncodedRelation.from_rows.__func__, Dictionary.encode
+
+        def from_rows(cls, rows, dictionary):
+            calls["from_rows"] += 1
+            return real_from_rows(cls, rows, dictionary)
+
+        def encode(self, value):
+            calls["encode"] += 1
+            return real_encode(self, value)
+
+        monkeypatch.setattr(EncodedRelation, "from_rows", classmethod(from_rows))
+        monkeypatch.setattr(Dictionary, "encode", encode)
+        for write in (
+            lambda: db.insert("R", (20_001, 30)),
+            lambda: db.delete("R", (20_001, 30)),
+            lambda: db.delete("R", (3, (3 * 7919) % 10_000)),
+        ):
+            calls.update(from_rows=0, encode=0)
+            write()
+            answers = q.evaluate().answers
+            assert calls["from_rows"] == 0 and calls["encode"] <= 2
+            assert answers == naive_eval(q.query, db.instance, engine="compiled")
+        assert (20_001,) not in answers and (3,) not in answers
 
     def test_derive_noop_when_never_encoded(self):
         old = Instance({"R": [(1, 2)]})

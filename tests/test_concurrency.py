@@ -144,3 +144,73 @@ def test_concurrent_mutators_apply_every_effective_write():
     assert db.instance.tuples("B") == {(i,) for i in range(per_writer)}
     assert db.generation == 2 * per_writer
     assert db.rel_generation("A") == per_writer
+
+
+def test_readers_of_patched_encodings_during_single_row_writes():
+    """Single-row writes patch the encoded relation, its indexes and the
+    encoded domain of the *new* instance while readers are still lazily
+    filling the caches of the old one.  Every snapshot a reader takes
+    must answer, through the columnar engine, exactly what the compiled
+    engine answers on a fresh copy of the same rows."""
+    import sys
+
+    from repro.core.naive import naive_eval
+    from repro.data.instance import Instance
+    from repro.session import as_query
+
+    rows = [(i, (i * 7) % 50) for i in range(300)]
+    db = Database({"R": rows, "S": [(v,) for v in range(0, 50, 5)]})
+    queries = [
+        as_query(text, vars=head)
+        for text, head in (
+            ("exists y (R(x, y) & S(y))", ("x",)),
+            ("R(3, y)", ("y",)),
+            ("exists y (R(x, y) & R(y, x))", ("x",)),
+            ("S(x) & ~ R(x, 0)", ("x",)),
+        )
+    ]
+    for q in queries:
+        db.evaluate(q)
+    errors: list[str] = []
+    done = threading.Event()
+
+    def writer():
+        try:
+            for i in range(200):
+                row = (3, 60 + i % 7) if i % 3 else (60 + i % 5, i % 50)
+                if row in db.instance.tuples("R"):
+                    db.delete("R", row)
+                else:
+                    db.insert("R", row)
+        except Exception as err:  # noqa: BLE001 - surfaced via the assert
+            errors.append(f"writer: {err!r}")
+        finally:
+            done.set()
+
+    def reader(k: int):
+        try:
+            while not done.is_set():
+                inst = db.instance
+                fresh = Instance({n: inst.tuples(n) for n in inst.relations})
+                for q in queries[k % 2 :: 2]:
+                    got = naive_eval(q, inst, engine="columnar")
+                    want = naive_eval(q, fresh, engine="compiled")
+                    if got != want:
+                        errors.append(f"{q!r}: {sorted(got)} != {sorted(want)}")
+                        return
+        except Exception as err:  # noqa: BLE001 - surfaced via the assert
+            errors.append(f"reader: {err!r}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:5]

@@ -92,6 +92,101 @@ class TestWithDelta:
         assert 9 not in new.adom()
         assert 1 in new.adom()  # still occurs in R
 
+    def test_adom_nulls_constants_carried_through_deletes(self):
+        inst = Instance({"R": [(1, X), (2, X), (3, 4)], "S": [(Y,), (4,)]})
+        inst.nulls()
+        steps = [
+            ({}, {"R": [(1, X)]}),  # X still occurs in (2, X)
+            ({}, {"R": [(2, X)]}),  # X vanishes
+            ({}, {"S": [(4,)]}),  # 4 still occurs in R
+            ({"S": [(X,), (5,)]}, {"R": [(3, 4)]}),  # 3 and 4 vanish, X and 5 return
+            ({"R": [(Y, Y)]}, {"S": [(Y,)]}),  # Y removed and re-added in one delta
+        ]
+        for adds, removes in steps:
+            new, _ = inst.with_delta(adds=adds, removes=removes)
+            fresh = Instance({n: new.tuples(n) for n in new.relations})
+            assert new._adom is not None and new._nulls is not None  # carried
+            assert new.adom() == fresh.adom()
+            assert new.nulls() == fresh.nulls()
+            assert new.constants() == fresh.constants()
+            assert new._counts == fresh._occurrences()
+            inst = new
+
+    def test_nulls_and_constants_after_delete_do_not_iterate_rows(self):
+        """After a delete, ``nulls()``/``constants()`` are patched from
+        the ancestor's caches, not recounted over the relation rows."""
+
+        class IterCounting(frozenset):
+            iterations = 0
+
+            def __iter__(self):
+                IterCounting.iterations += 1
+                return super().__iter__()
+
+        rows = [(i, Null(f"n{i}") if i % 100 == 0 else i + 1) for i in range(20_000)]
+        inst = Instance({"R": rows, "S": [(1,), (2,)]})
+        inst.nulls(), inst.constants()
+        inst._relations = {n: IterCounting(r) for n, r in inst._relations.items()}
+        new, _ = inst.with_delta(removes={"R": [(0, Null("n0")), (1, 2)]})
+        IterCounting.iterations = 0
+        nulls, constants = new.nulls(), new.constants()
+        assert IterCounting.iterations == 0
+        assert Null("n0") not in nulls and len(nulls) == 199
+        assert 0 not in constants and 2 in constants and 1 in constants
+
+    def test_arity_checked_against_the_delta_only(self):
+        inst = Instance({"R": [(i, i) for i in range(50)]})
+        new, _ = inst.with_delta(adds={"R": [(99, 99)]}, removes={"R": [(0, 0)]})
+        assert new.arity("R") == 2
+        with pytest.raises(SchemaError, match="mixed arities"):
+            inst.with_delta(adds={"R": [(1, 2, 3)]}, removes={"R": [(0, 0)]})
+        with pytest.raises(SchemaError, match="mixed arities"):
+            inst.with_delta(adds={"R": [(1,), (1, 2, 3)]}, removes={"R": list(inst.tuples("R"))})
+
+    def test_with_deltas_equals_chained_with_delta(self):
+        rng = random.Random(0xF01D)
+        inst = Instance({"R": [(1, 2), (2, 3)], "S": [(1,)]})
+        deltas, chained = [], inst
+        for _ in range(40):
+            pool = [1, 2, 3, 4, X]
+            adds = {"R": [(rng.choice(pool), rng.choice(pool))]}
+            removes = {"R": [row for row in chained.tuples("R") if rng.random() < 0.3]}
+            if rng.random() < 0.2:
+                removes["S"] = list(chained.tuples("S"))
+                adds["S"] = [(rng.choice(pool),)]
+            deltas.append((adds, removes))
+            chained, _ = chained.with_delta(adds, removes)
+        assert inst.with_deltas(deltas) == chained
+        assert inst.with_deltas([]) is inst
+        # full replacement across two deltas may change the arity; a
+        # delta that would mix arities fails as with_delta does
+        replaced = inst.with_deltas([({}, {"S": [(1,)]}), ({"S": [(1, 2)]}, {})])
+        assert replaced.arity("S") == 2
+        with pytest.raises(SchemaError, match="mixed arities"):
+            inst.with_deltas([({"S": [(5,)]}, {}), ({"S": [(1, 2)]}, {"S": [(1,)]})])
+
+    def test_superseded_instance_freed_without_cyclic_gc(self):
+        """No Instance ↔ context reference cycle: with the cyclic
+        collector off, the instance a write supersedes (with its encoded
+        relations) is freed by reference counting alone."""
+        import gc
+        import weakref
+
+        db = Database({"R": [(i, i + 1) for i in range(200)], "S": [(3,)]})
+        q = db.query("exists z (R(x, z) & S(z))", vars=("x",))
+        q.evaluate()
+        context_for(db.instance)
+        ref = weakref.ref(db.instance)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            db.insert("R", (500, 3))
+            assert ref() is None
+            assert q.evaluate().answers == frozenset({(2,), (500,)})
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_matches_from_scratch_construction_randomly(self):
         rng = random.Random(0xDE17A)
         schema = Schema({"R": 2, "S": 1})
