@@ -11,6 +11,11 @@ timing metric); timing metrics are the keys ending in ``_ms``/``_us``/
 ``seconds``.  Rows present on only one side are reported but do not
 fail the gate — workloads are allowed to be added or retired.
 
+Because each PR is gated against the latest file only, a slow drift
+could compound across PRs unseen.  So every timing metric is also
+reported against its best value across *all* checked-in
+``BENCH_pr*.json`` files.  That report never fails the run.
+
 Usage::
 
     python benchmarks/harness.py --json BENCH_fresh.json
@@ -49,23 +54,27 @@ MIN_GATED_MS = 0.5
 BASELINE_PATTERN = re.compile(r"^BENCH_pr(\d+)\.json$")
 
 
-def latest_baseline(root: Path, exclude: Path | None = None) -> Path:
-    """The highest-numbered ``BENCH_pr*.json`` under ``root``."""
-    best: tuple[int, Path] | None = None
+def checked_in(root: Path, exclude: Path | None = None) -> list[Path]:
+    """Every ``BENCH_pr*.json`` under ``root``, lowest number first."""
+    found = []
     for path in root.iterdir():
         match = BASELINE_PATTERN.match(path.name)
         if not match:
             continue
         if exclude is not None and path.resolve() == exclude.resolve():
             continue
-        number = int(match.group(1))
-        if best is None or number > best[0]:
-            best = (number, path)
-    if best is None:
+        found.append((int(match.group(1)), path))
+    return [path for _, path in sorted(found)]
+
+
+def latest_baseline(root: Path, exclude: Path | None = None) -> Path:
+    """The highest-numbered ``BENCH_pr*.json`` under ``root``."""
+    paths = checked_in(root, exclude)
+    if not paths:
         raise SystemExit(
             f"no BENCH_pr*.json baseline found in {root} — pass --baseline"
         )
-    return best[1]
+    return paths[-1]
 
 
 def _is_timing(key: str) -> bool:
@@ -84,6 +93,46 @@ def _to_ms(key: str, value: float) -> float:
     if key.endswith("seconds"):
         return value * 1000.0
     return value
+
+
+def _timings(bench: dict):
+    """``(section, identity, key, value)`` for every gated timing metric."""
+    for section in GATED_SECTIONS:
+        for row in bench.get(section, []):
+            ident = _identity(row)
+            for key, value in row.items():
+                if _is_timing(key) and isinstance(value, (int, float)) and value > 0:
+                    yield section, ident, key, value
+
+
+def best_of_history(history: dict[str, dict], fresh: dict) -> list[str]:
+    """Each fresh timing metric against its best value in ``history``.
+
+    ``history`` maps file names to harness JSON.  Report only: the
+    lines say how far each row is from the best any checked-in run
+    recorded, and in which file; files measured with a different
+    ``quick`` setting are left out.
+    """
+    quick = fresh.get("meta", {}).get("quick")
+    best: dict[tuple, tuple[float, str]] = {}
+    for name, bench in history.items():
+        if bench.get("meta", {}).get("quick") != quick:
+            continue
+        for section, ident, key, value in _timings(bench):
+            entry = (section, ident, key)
+            if entry not in best or value < best[entry][0]:
+                best[entry] = (value, name)
+    lines = []
+    for section, ident, key, value in _timings(fresh):
+        entry = best.get((section, ident, key))
+        if entry is None or _to_ms(key, entry[0]) < MIN_GATED_MS:
+            continue
+        best_value, name = entry
+        lines.append(
+            f"[{section}] {dict(ident)} {key}: {value:.3f} vs best "
+            f"{best_value:.3f} in {name} ({value / best_value:.2f}×)"
+        )
+    return lines
 
 
 def compare(baseline: dict, fresh: dict, tolerance: float) -> list[str]:
@@ -141,16 +190,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     fresh_path = Path(args.fresh)
+    root = Path(__file__).resolve().parent.parent
     if args.baseline is not None:
         baseline_path = Path(args.baseline)
     else:
-        root = Path(__file__).resolve().parent.parent
         baseline_path = latest_baseline(root, exclude=fresh_path)
         print(f"baseline (latest checked-in): {baseline_path.name}")
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
     with open(fresh_path, encoding="utf-8") as handle:
         fresh = json.load(handle)
+    history = {}
+    for path in checked_in(root, exclude=fresh_path):
+        with open(path, encoding="utf-8") as handle:
+            history[path.name] = json.load(handle)
+    print("\nbest of history (report only; every checked-in BENCH_pr*.json):")
+    for line in best_of_history(history, fresh):
+        print("  " + line)
     failures = compare(baseline, fresh, args.tolerance)
     if failures:
         print(f"\nREGRESSION GATE FAILED ({len(failures)} metric(s) over {args.tolerance}×):")

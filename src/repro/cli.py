@@ -187,9 +187,7 @@ def _cmd_serve(args) -> int:
     """Run the JSON-lines query server over one shared Database."""
     import signal
 
-    from repro.replication.feed import ReplicationFeed
-    from repro.replication.replica import ReplicaTailer
-    from repro.server import FEATURES, AsyncServer, QueryService, Server
+    from repro.server import serve
 
     # an instance file seeds a *fresh* data dir only; with neither, the
     # session starts empty (or recovers whatever --data-dir holds)
@@ -204,39 +202,23 @@ def _cmd_serve(args) -> int:
             f"{db.generation} ({info.wal_records} WAL records on top of "
             f"snapshot generation {info.snapshot_generation})"
         )
-    if args.workers and args.workers > 1:
-        # fork the oracle's worker processes before any client thread
-        # exists (forking a multithreaded parent is a footgun)
-        db.ensure_worker_pool()
-    # every node serves the `replicate` op, so replicas can be chained
-    feed = ReplicationFeed(db)
-    tailer = ReplicaTailer(db, args.replica_of) if args.replica_of else None
-    if args.threaded:
-        # the original thread-per-connection shim: in-order pipelining
-        # only, no admission control, no server-side deadlines
-        service = QueryService(db, batch=not args.no_batch, feed=feed, tailer=tailer)
-        server = Server(
-            service, host=args.host, port=args.port, max_threads=args.threads
-        )
-    else:
-        service = QueryService(
-            db, batch=not args.no_batch, feed=feed, tailer=tailer, features=FEATURES
-        )
-        server = AsyncServer(
-            service,
-            host=args.host,
-            port=args.port,
-            max_inflight=args.max_inflight,
-            max_conns=args.max_conns,
-            idle_timeout_s=max(0.0, args.idle_timeout_s),
-            executor_threads=args.threads,
-        ).start()
+    # serve() forks the oracle's worker processes before any server
+    # thread exists, and starts the tailer once the listener is bound
+    server = serve(
+        db,
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        max_conns=args.max_conns,
+        idle_timeout_s=max(0.0, args.idle_timeout_s),
+        executor_threads=args.threads,
+        replicate_from=args.replica_of or None,
+    )
     address = f"{server.address[0]}:{server.address[1]}"
     print(f"repro serve: listening on {address}", flush=True)
     print("protocol: one JSON request per line, one JSON response per line", flush=True)
+    tailer = server.service.tailer
     if tailer is not None:
-        tailer.announce = address
-        tailer.start()
         print(
             f"replica of {tailer.primary_address}: streaming its WAL; "
             f"writes are rejected until 'promote'",
@@ -584,8 +566,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threads",
         type=int,
         default=8,
-        help="executor threads evaluating requests (async core), or max "
-        "concurrent client connections (--threaded)",
+        help="executor threads evaluating requests",
     )
     p_serve.add_argument(
         "--max-inflight",
@@ -611,18 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         help="reap a connection idle (or stalled mid-frame) this long "
         "(0 = never; slowloris defence)",
     )
-    p_serve.add_argument(
-        "--threaded",
-        action="store_true",
-        help="serve on the original thread-per-connection core instead of the "
-        "asyncio core (no admission control, no deadline_ms)",
-    )
     p_serve.add_argument("--workers", type=int, default=None, help=workers_help)
-    p_serve.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable coalescing of concurrent query requests into evaluate_many batches",
-    )
     p_serve.add_argument(
         "--data-dir",
         default=None,

@@ -30,7 +30,9 @@ retry/deadline/failover policy a caller facing real networks needs:
   left, a lost connection (or a server ``deadline`` frame) raises
   :class:`IndeterminateWriteError`: the write may or may not have
   applied, and only the caller knows whether re-issuing it is
-  idempotent for their data.
+  idempotent for their data.  A request line longer than the server
+  accepts (``MAX_LINE_BYTES``) never leaves: it fails locally with a
+  typed ``too_large`` :class:`ServerError`.
 
 The policy is written once, as a sans-IO state machine
 (:meth:`_ClientBase._policy`): a generator that yields :class:`Send` and
@@ -231,6 +233,24 @@ Policy = Generator[Union[Send, Sleep], Union[Outcome, None], dict]
 
 def _encode(payload: dict) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _too_large(payload: dict) -> Answered:
+    """The ``too_large`` frame the server would send, built locally.
+
+    A request line over ``MAX_LINE_BYTES`` is refused before any byte of
+    it leaves, so the policy raises a typed :class:`ServerError` and
+    never retries it or reports a write as indeterminate.
+    """
+    return Answered(
+        {
+            "ok": False,
+            "error": f"too_large: request line exceeds {MAX_LINE_BYTES} bytes",
+            "error_type": "too_large",
+            "max_line_bytes": MAX_LINE_BYTES,
+            "id": payload.get("id"),
+        }
+    )
 
 
 def _decode(line: bytes) -> dict:
@@ -531,6 +551,9 @@ class Client(_ClientBase):
 
     def _exchange(self, send: Send) -> Outcome:
         """Carry out one :class:`Send` on the endpoint's cached socket."""
+        data = _encode(send.payload)
+        if len(data) > MAX_LINE_BYTES + 1:
+            return _too_large(send.payload)
         endpoint = send.endpoint
         conn = self._conns.get(endpoint)
         if conn is None:
@@ -542,7 +565,7 @@ class Client(_ClientBase):
         sock, reader = conn
         try:
             sock.settimeout(max(send.deadline - monotonic(), 1e-3))
-            sock.sendall(_encode(send.payload))
+            sock.sendall(data)
             return Answered(_decode(reader.readline(MAX_LINE_BYTES + 1)))
         except (OSError, ValueError) as err:
             self._drop(endpoint)
@@ -612,10 +635,10 @@ class AsyncClient(_ClientBase):
 
     >>> import asyncio
     >>> from repro.client import AsyncClient
-    >>> from repro.server import async_serve
+    >>> from repro.server import serve
     >>> from repro.session import Database
     >>> async def demo():
-    ...     server = async_serve(Database({"R": [(1, 2)]}))
+    ...     server = serve(Database({"R": [(1, 2)]}))
     ...     try:
     ...         async with AsyncClient(server.address) as client:
     ...             responses = await client.fanout(
@@ -681,6 +704,9 @@ class AsyncClient(_ClientBase):
 
     async def _exchange(self, send: Send) -> Outcome:
         """Carry out one :class:`Send` on the endpoint's pipelined connection."""
+        data = _encode(send.payload)
+        if len(data) > MAX_LINE_BYTES + 1:
+            return _too_large(send.payload)
         endpoint = send.endpoint
         conn = self._conns.get(endpoint)
         if conn is None:
@@ -705,7 +731,7 @@ class AsyncClient(_ClientBase):
         conn.pending[rid] = fut
         try:
             async with conn.write_lock:
-                conn.writer.write(_encode(send.payload))
+                conn.writer.write(data)
                 await asyncio.wait_for(conn.writer.drain(), max(send.deadline - monotonic(), 0))
         except (OSError, asyncio.TimeoutError) as err:
             conn.pending.pop(rid, None)

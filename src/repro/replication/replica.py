@@ -246,30 +246,31 @@ class ReplicaTailer:
                 frame = json.loads(line)
                 if frame.get("ok") is False:
                     raise ReplicationError(frame.get("error", "primary refused replication"))
-                outcome = apply_frame(self._db, frame)
-                now = monotonic()
                 with self._state_lock:
-                    self._last_frame = now
+                    # one step as ``status`` sees it: a reader that saw
+                    # the frame's generation applied also sees it counted
+                    outcome = apply_frame(self._db, frame)
+                    self._last_frame = monotonic()
                     self._connected = True
-                if outcome == "applied":
-                    self._counters["frames_applied"] += 1
-                    self._resync = False
-                    progressed = True
-                elif outcome == "snapshot":
-                    self._counters["snapshots_loaded"] += 1
-                    self._resync = False
-                    progressed = True
-                elif outcome == "skipped":
-                    self._counters["frames_skipped"] += 1
-                elif outcome == "gap":
-                    # reconnecting replays from the durable position, so
-                    # the missing generations are re-served in order
-                    self._counters["gaps"] += 1
-                    return progressed
-                elif outcome == "diverged":
-                    self._counters["divergences"] += 1
-                    self._resync = True
-                    return progressed
+                    if outcome == "applied":
+                        self._counters["frames_applied"] += 1
+                        self._resync = False
+                        progressed = True
+                    elif outcome == "snapshot":
+                        self._counters["snapshots_loaded"] += 1
+                        self._resync = False
+                        progressed = True
+                    elif outcome == "skipped":
+                        self._counters["frames_skipped"] += 1
+                    elif outcome == "gap":
+                        # reconnecting replays from the durable position, so
+                        # the missing generations are re-served in order
+                        self._counters["gaps"] += 1
+                        return progressed
+                    elif outcome == "diverged":
+                        self._counters["divergences"] += 1
+                        self._resync = True
+                        return progressed
             return progressed
         finally:
             with self._state_lock:

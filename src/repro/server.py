@@ -1,34 +1,30 @@
-"""A thread-pooled JSON-lines query server over one shared :class:`Database`.
+"""The JSON-lines query server over one shared :class:`Database`.
 
 The serving layer that turns the engine from one-shot evaluation into a
 long-lived service:
 
 * :class:`QueryService` — the transport-free core: it translates JSON
-  request objects (``{"op": "query", ...}``) into session operations,
-  counts what it serves, and **coalesces concurrent query requests into
-  one** :meth:`~repro.session.Database.evaluate_many` **batch** via a
-  group-commit gate, so compatible certain-answer requests that arrive
-  while another batch is running share one pool build and one core
-  check;
-* :class:`AsyncServer` — the serving core: one asyncio event loop
+  request objects (``{"op": "query", ...}``) into session operations
+  and counts what it serves;
+* :class:`AsyncServer` — the one transport: one asyncio event loop
   multiplexing thousands of connections with per-connection request
   **pipelining** (``id``-correlated, out-of-order responses),
   semaphore-bounded **admission control** (typed ``overloaded`` frames
   instead of unbounded queueing), server-enforced ``deadline_ms``, and
-  ``drain()`` backpressure.  ``repro serve`` (:mod:`repro.cli`) wires
-  it to a command line; ``docs/serving.md`` is the architecture tour;
-* :class:`Server` — the original thread-per-connection front end, kept
-  as a compatibility shim (``repro serve --threaded``); it serves the
-  same protocol in request order.
+  ``drain()`` backpressure;
+* :func:`serve` — the one factory: it builds the session's replication
+  feed and tailer, the service and the server, and starts them.
+  ``repro serve`` (:mod:`repro.cli`) calls it from a command line;
+  ``docs/serving.md`` is the architecture tour.
 
 Concurrency model: the :class:`~repro.session.Database` is already
 thread-safe (immutable instance snapshots + per-relation generation
-counters), so handler threads call straight into it.  Mutations apply
-atomically; readers either hit the generation-keyed result cache or
-evaluate against a consistent snapshot.  When the session was built
-with ``workers > 1``, the oracle's process pool is created once at
-startup and reused across requests (:class:`OracleWorkerPool`) instead
-of being re-forked per call.
+counters), so the server's executor threads call straight into it.
+Mutations apply atomically; readers either hit the generation-keyed
+result cache or evaluate against a consistent snapshot.  When the
+session was built with ``workers > 1``, the oracle's process pool is
+created once at startup and reused across requests
+(:class:`OracleWorkerPool`) instead of being re-forked per call.
 
 When the shared session is durable (``Database(path=...)``), mutations
 are journaled/fsync'd before they are acknowledged, the ``checkpoint``
@@ -60,11 +56,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import queue
-import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Iterator
 
 from repro import faults as _faults
@@ -72,6 +66,7 @@ from repro.core.analyzer import FIGURE_1
 from repro.data.jsonio import decode_row, encode_row, instance_to_json
 from repro.replication.feed import ReplicationFeed
 from repro.replication.replica import ReplicaTailer
+from repro.semantics.base import ExpansionLimitError
 from repro.session import Database, DegradedError, PreparedQuery
 
 __all__ = [
@@ -79,7 +74,6 @@ __all__ = [
     "PROTO_VERSION",
     "AsyncServer",
     "QueryService",
-    "Server",
     "async_serve",
     "serve",
 ]
@@ -89,14 +83,12 @@ __all__ = [
 #: and the ``deadline_ms`` request field (see ``docs/wire-protocol.md``)
 PROTO_VERSION = 2
 
-#: every optional protocol feature this codebase knows how to serve.
-#: A node advertises the subset its *transport* actually honours:
-#: the async server all of them, the threaded shim only ``pipelining``
-#: (in-order), a bare :class:`QueryService` likewise.
+#: the optional protocol features every node advertises in ``ping`` and
+#: ``stats``
 FEATURES = ("pipelining", "deadline_ms")
 
-#: longest JSON-lines line, in bytes before the newline, that the asyncio
-#: core reads and that both clients accept; a longer request line is
+#: longest JSON-lines line, in bytes before the newline, that the server
+#: reads and that both clients send or accept; a longer request line is
 #: refused with a typed ``too_large`` frame (see ``docs/wire-protocol.md``)
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
@@ -112,86 +104,6 @@ class _Reject(Exception):
     def __init__(self, error: str, **fields):
         super().__init__(error)
         self.fields = {"error": error, **fields}
-
-
-class _Pending:
-    """One query request waiting in the batch gate."""
-
-    __slots__ = ("prepared", "result", "error", "done", "group_size")
-
-    def __init__(self, prepared: PreparedQuery):
-        self.prepared = prepared
-        self.result = None
-        self.error: Exception | None = None
-        self.done = False
-        self.group_size = 0
-
-
-class _BatchGate:
-    """Group-commit for query requests.
-
-    A thread arriving for a given mode when no batch is running becomes
-    the *leader*: it drains every compatible request currently queued
-    (its own plus whatever piled up while the previous batch ran) and
-    evaluates them in one ``evaluate_many`` call.  Followers wait; when
-    the batch completes, the leader steps down and any follower whose
-    request is still queued is woken to lead the next round — so a
-    leader serves exactly one batch and no request's latency depends on
-    the arrival rate of later ones.  A lone request is a batch of one:
-    no timers, no artificial latency.
-    """
-
-    def __init__(self, db: Database):
-        self._db = db
-        self._cond = threading.Condition()
-        self._pending: dict[str, list[_Pending]] = {}
-        self._leaders: set[str] = set()
-
-    def evaluate(self, prepared: PreparedQuery, mode: str = "auto"):
-        """Evaluate through the gate; returns ``(EvalResult, group_size)``."""
-        item = _Pending(prepared)
-        with self._cond:
-            self._pending.setdefault(mode, []).append(item)
-            while not item.done and mode in self._leaders:
-                self._cond.wait()
-            if not item.done:
-                # no batch in flight: lead one round with whatever queued
-                self._leaders.add(mode)
-                batch = self._pending.pop(mode)
-        if not item.done:
-            try:
-                self._run(batch, mode)
-            finally:
-                with self._cond:
-                    self._leaders.discard(mode)
-                    self._cond.notify_all()
-        if item.error is not None:
-            raise item.error
-        return item.result, item.group_size
-
-    def _run(self, batch: list[_Pending], mode: str) -> None:
-        try:
-            results = self._db.evaluate_many(
-                [item.prepared for item in batch], mode=mode
-            )
-            for item, result in zip(batch, results):
-                item.result = result
-                item.group_size = len(batch)
-        except Exception:
-            # one bad request must not poison its batch-mates: fall back
-            # to individual evaluation so each request gets its own
-            # result or its own error
-            for item in batch:
-                try:
-                    item.result = item.prepared.evaluate(mode)
-                    item.group_size = 1
-                except Exception as err:  # noqa: BLE001 - reported per request
-                    item.error = err
-        finally:
-            with self._cond:
-                for item in batch:
-                    item.done = True
-                self._cond.notify_all()
 
 
 class QueryService:
@@ -218,24 +130,23 @@ class QueryService:
         self,
         db: Database,
         *,
-        batch: bool = True,
         feed: ReplicationFeed | None = None,
         tailer: ReplicaTailer | None = None,
-        features: tuple[str, ...] = ("pipelining",),
     ):
         self.db = db
-        self._batch = _BatchGate(db) if batch else None
         #: the replication feed serving downstream replicas (``None`` = off)
         self.feed = feed
         #: the tailer streaming from an upstream primary; its presence
         #: makes this node a replica (writes rejected) until ``promote``
         self.tailer = tailer
-        #: protocol features the transport in front of this service
-        #: honours, advertised by ``ping``/``stats`` (the async server
-        #: passes the full :data:`FEATURES`)
-        self.features = tuple(features)
         self._replica_mode = tailer is not None
         self._lock = threading.Lock()
+        #: ``query`` requests evaluate one at a time.  Evaluation is mostly
+        #: CPU-bound Python: two at once on executor threads contend for
+        #: the interpreter lock with each other and with the event loop
+        #: (oracle_cwa in perfbench served ~11% fewer ops/s on a 2-vCPU
+        #: VM).  Writes, staleness waits and other ops still overlap them.
+        self._evaluating = threading.Lock()
         self._counters = {
             "requests": 0,
             "queries": 0,
@@ -286,10 +197,16 @@ class QueryService:
                 "health": self.db.health,
                 "role": self.role,
             }
+        except ExpansionLimitError as err:
+            # the query is well-formed but its world space exceeds the
+            # session's limit: typed, so a client can tell "too costly to
+            # answer" from a malformed request
+            with self._lock:
+                self._counters["errors"] += 1
+            response = {"ok": False, "error": str(err), "error_type": "too_expensive"}
         except Exception as err:  # noqa: BLE001 - service boundary: a bad
-            # request (parse recursion, schema violation, expansion limit,
-            # …) must become an error *response*, never kill the worker
-            # thread serving the connection
+            # request (parse recursion, schema violation, …) must become an
+            # error *response*, never kill the executor thread serving it
             with self._lock:
                 self._counters["errors"] += 1
             response = {"ok": False, "error": str(err) or repr(err)}
@@ -307,25 +224,6 @@ class QueryService:
                 self._counters["errors"] += 1
             return json.dumps({"ok": False, "error": f"bad JSON: {err}"})
         return json.dumps(self.handle(request))
-
-    def handle_or_stream(self, line: str) -> tuple[str | None, Iterator[dict | str] | None]:
-        """One wire line → ``(response_text, None)`` or ``(None, frames)``.
-
-        The streaming side of the protocol: a ``replicate`` request
-        turns its connection into a frame stream (the second element —
-        dict frames to encode, or pre-encoded ``str`` lines) that the
-        transport writes until the generator ends or the consumer goes
-        away; every other request gets the usual one-line response.  The
-        transport must ``close()`` an abandoned stream so its replica
-        link is unregistered.
-        """
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError:
-            return self.handle_line(line), None  # reuse the error path
-        if isinstance(request, dict) and request.get("op") == "replicate":
-            return None, self.replicate_stream(request)
-        return json.dumps(self.handle(request)), None
 
     def replicate_stream(self, request: dict) -> Iterator[dict | str]:
         """Serve one replica: hello, then frames from the feed, forever."""
@@ -428,7 +326,7 @@ class QueryService:
             "ok": True,
             "pong": True,
             "proto": PROTO_VERSION,
-            "features": list(self.features),
+            "features": list(FEATURES),
         }
 
     def _prepare(self, request: dict) -> PreparedQuery:
@@ -447,7 +345,7 @@ class QueryService:
             text, tuple(vars_) if vars_ is not None else None, semantics=semantics
         )
 
-    def _render(self, prepared: PreparedQuery, result, group_size: int = 1) -> dict:
+    def _render(self, prepared: PreparedQuery, result, batched: bool = False) -> dict:
         query = prepared.query
         payload = {
             "ok": True,
@@ -461,9 +359,9 @@ class QueryService:
             "method": result.method,
             "cache": result.stats.get("result_cache"),
             "generation": result.stats.get("generation"),
-            "batched": group_size > 1,
+            "batched": batched,
         }
-        if group_size > 1:
+        if batched:
             with self._lock:
                 self._counters["batched_requests"] += 1
         return payload
@@ -476,11 +374,9 @@ class QueryService:
             raise ValueError("'mode' must be a backend name or 'auto'")
         with self._lock:
             self._counters["queries"] += 1
-        if self._batch is not None:
-            result, group_size = self._batch.evaluate(prepared, mode)
-        else:
-            result, group_size = prepared.evaluate(mode), 1
-        return self._render(prepared, result, group_size)
+        with self._evaluating:
+            result = prepared.evaluate(mode)
+        return self._render(prepared, result)
 
     def _op_batch(self, request: dict) -> dict:
         """An explicit client-side batch: one evaluate_many, one response."""
@@ -493,11 +389,10 @@ class QueryService:
             self._counters["queries"] += len(prepared)
         mode = request.get("mode", "auto")
         results = self.db.evaluate_many(prepared, mode=mode)
+        batched = len(prepared) > 1
         return {
             "ok": True,
-            "results": [
-                self._render(p, r, len(prepared)) for p, r in zip(prepared, results)
-            ],
+            "results": [self._render(p, r, batched) for p, r in zip(prepared, results)],
         }
 
     def _rows(self, request: dict, field: str = "rows") -> list[tuple]:
@@ -600,7 +495,7 @@ class QueryService:
 
     def _op_replicate(self, request: dict) -> dict:
         # reached only by direct dict callers: the TCP path routes the op
-        # through handle_or_stream/replicate_stream instead
+        # through replicate_stream instead
         raise ValueError(
             "'replicate' is a streaming op: it holds its connection open and "
             "is only served over the TCP transport"
@@ -621,7 +516,7 @@ class QueryService:
         response = {
             "ok": True,
             "proto": PROTO_VERSION,
-            "features": list(self.features),
+            "features": list(FEATURES),
             "uptime_s": perf_counter() - self._started,
             "requests": counters,
             "result_cache": db.cache_stats,
@@ -655,277 +550,6 @@ class QueryService:
             self.tailer.stop()
         if self.feed is not None:
             self.feed.close()
-
-
-class Server:
-    """A bounded-thread-pool TCP front end for a :class:`QueryService`.
-
-    One JSON request per line, one JSON response per line (UTF-8).  A
-    fixed pool of daemon worker threads takes accepted connections off a
-    queue, each handling one connection for its whole lifetime — so
-    ``max_threads`` bounds the number of *concurrent clients*, extra
-    connections wait for a slot, and a forgotten :meth:`shutdown` can
-    never wedge interpreter exit.
-    """
-
-    def __init__(
-        self,
-        service: QueryService,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_threads: int = 8,
-    ):
-        self.service = service
-        self._listener = socket.create_server((host, port))
-        self._listener.settimeout(0.2)  # lets serve_forever notice shutdown
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._queue: queue.Queue = queue.Queue()
-        self._workers = [
-            threading.Thread(
-                target=self._worker, daemon=True, name=f"repro-serve-{i}"
-            )
-            for i in range(max(1, max_threads))
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._shutdown = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
-        # graceful drain: requests currently being served (replication
-        # streams excluded — they are long-lived and ended by
-        # service.close(), not by the drain window)
-        self._draining = threading.Event()
-        self._inflight = 0
-        self._inflight_cond = threading.Condition()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def serve_forever(self) -> None:
-        """Accept connections until :meth:`shutdown` (blocking)."""
-        while not self._shutdown.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # listener closed under us during shutdown
-            try:
-                _faults.fire("server.accept")
-            except OSError:
-                # injected accept failure: the brand-new connection is
-                # dropped before ever reaching a worker
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                continue
-            self._queue.put(conn)
-
-    def start(self) -> "Server":
-        """Run :meth:`serve_forever` on a daemon thread (tests, examples)."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self, drain_timeout_s: float = 0.0) -> None:
-        """Stop accepting, optionally drain in-flight requests, then close.
-
-        With ``drain_timeout_s > 0`` the shutdown is **graceful**: the
-        listener closes immediately (no new connections), requests
-        already being served get up to the drain window to finish and
-        have their responses written, and only then are the remaining
-        connections torn down.  Replication streams never count as
-        in-flight — they are long-lived by design and are ended by the
-        service shutdown regardless.
-        """
-        self._shutdown.set()
-        self._draining.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if drain_timeout_s > 0:
-            deadline = monotonic() + drain_timeout_s
-            with self._inflight_cond:
-                while self._inflight > 0:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        break  # window exhausted: fall through to hard close
-                    self._inflight_cond.wait(remaining)
-        # end replication streams first: their worker threads are parked
-        # inside the feed and would otherwise never reach a poison pill
-        self.service.close()
-        # close connections still waiting for a worker slot first, so no
-        # worker dequeues a live socket after the poison pills go in
-        while True:
-            try:
-                queued = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if queued is not None:
-                try:
-                    queued.close()
-                except OSError:
-                    pass
-        with self._conns_lock:
-            live = list(self._conns)
-        for conn in live:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        for _ in self._workers:
-            self._queue.put(None)  # one poison pill per worker
-        for worker in self._workers:
-            worker.join(timeout=5)
-
-    def __enter__(self) -> "Server":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # per-connection loop
-    # ------------------------------------------------------------------
-
-    def _worker(self) -> None:
-        while True:
-            conn = self._queue.get()
-            if conn is None:
-                return
-            try:
-                self._client(conn)
-            except Exception:  # noqa: BLE001 - a broken connection must
-                pass  # never take the worker (and its queue slot) down
-
-    def _request_done(self) -> None:
-        with self._inflight_cond:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._inflight_cond.notify_all()
-
-    def _client(self, conn: socket.socket) -> None:
-        with self._conns_lock:
-            self._conns.add(conn)
-        try:
-            with conn:
-                reader = conn.makefile("r", encoding="utf-8", newline="\n")
-                writer = conn.makefile("w", encoding="utf-8", newline="\n")
-                for line in reader:
-                    # an injected recv failure loses the request *before*
-                    # any processing — the client never learns its fate
-                    _faults.fire("server.recv")
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if self._draining.is_set():
-                        break  # draining: no new requests on this connection
-                    with self._inflight_cond:
-                        self._inflight += 1
-                    tracked = True
-                    try:
-                        response, stream = self.service.handle_or_stream(line)
-                        if stream is not None:
-                            # the connection becomes a replication stream
-                            # and occupies this worker slot until it ends;
-                            # hand the in-flight slot back first so a drain
-                            # never waits on a stream
-                            self._request_done()
-                            tracked = False
-                            try:
-                                for frame in stream:
-                                    data = (
-                                        frame if isinstance(frame, str) else json.dumps(frame)
-                                    )
-                                    writer.write(data + "\n")
-                                    writer.flush()
-                            finally:
-                                stream.close()  # unregister the replica link
-                            break
-                        try:
-                            # an injected send failure loses the *response*:
-                            # the request was processed, the client cannot
-                            # know — the indeterminate-write case
-                            _faults.fire("server.send")
-                            writer.write(response + "\n")
-                            writer.flush()
-                        except (OSError, ValueError):
-                            break  # client went away mid-response
-                    finally:
-                        if tracked:
-                            self._request_done()
-        except OSError:
-            pass  # connection torn down during shutdown
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-
-
-def serve(
-    db: Database | None = None,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    max_threads: int = 8,
-    batch: bool = True,
-    instance=None,
-    semantics: str = "cwa",
-    workers: int | None = None,
-    path: str | None = None,
-    replicate_from: str | tuple | None = None,
-    feed: bool = True,
-    heartbeat_s: float = 2.0,
-    backoff_base: float = 0.2,
-    backoff_cap: float = 5.0,
-) -> Server:
-    """Build a server around ``db`` (or a fresh session) and start it.
-
-    Returns the started :class:`Server`; ``server.address`` carries the
-    bound ``(host, port)``.  The caller owns shutdown::
-
-        with serve(Database({"R": [(1, 2)]})) as server:
-            ...  # connect to server.address
-
-    ``path`` makes the fresh session durable (``Database(path=...)``):
-    opening recovers the directory's snapshot + WAL, and every
-    acknowledged mutation is journaled.  When ``workers > 1`` the
-    oracle's process pool is forked *before* any client thread exists.
-
-    ``replicate_from="HOST:PORT"`` makes the node a **replica**: a
-    :class:`~repro.replication.replica.ReplicaTailer` streams the
-    primary's WAL into ``db`` (started only after the listener is
-    bound, so the tailer can announce this node's own address), and
-    writes are rejected with a typed ``read_only`` error until the
-    ``promote`` op.  Every node serves the ``replicate`` op itself
-    unless ``feed=False``, so replicas can be chained.
-    """
-    if db is None:
-        db = Database(instance, semantics=semantics, workers=workers, path=path)
-    if db.workers and db.workers > 1:
-        db.ensure_worker_pool()
-    replication_feed = ReplicationFeed(db, heartbeat_s=heartbeat_s) if feed else None
-    tailer = None
-    if replicate_from is not None:
-        tailer = ReplicaTailer(
-            db, replicate_from, backoff_base=backoff_base, backoff_cap=backoff_cap
-        )
-    service = QueryService(db, batch=batch, feed=replication_feed, tailer=tailer)
-    server = Server(service, host=host, port=port, max_threads=max_threads).start()
-    if tailer is not None:
-        tailer.announce = f"{server.address[0]}:{server.address[1]}"
-        tailer.start()
-    return server
 
 
 class _AsyncConn:
@@ -971,9 +595,8 @@ class AsyncServer:
 
     One event loop multiplexes every connection, so an idle client
     costs a heap object instead of a parked thread; the blocking
-    session work still runs on a bounded :class:`ThreadPoolExecutor`,
-    feeding the same :class:`_BatchGate` group-commit the threaded
-    server uses.  What the new transport adds:
+    session work runs on a bounded :class:`ThreadPoolExecutor`.  On top
+    of one-request-one-response it gives:
 
     * **pipelining** — each request line becomes its own task; a client
       may send N requests before reading anything, and responses are
@@ -999,10 +622,10 @@ class AsyncServer:
     through the loop, so one slow replica never stalls queries.
 
     Runs purely async (``await server.start_async()`` /
-    ``await server.shutdown_async()``) or behind the same sync facade
-    as the threaded :class:`Server` (``start()`` spins a daemon thread
-    owning the loop; ``shutdown()`` joins it), so ``repro serve``,
-    tests and benchmarks drive both servers identically.
+    ``await server.shutdown_async()``) or behind a sync facade
+    (``start()`` spins a daemon thread owning the loop; ``shutdown()``
+    joins it), which is what :func:`serve`, ``repro serve``, tests and
+    benchmarks use.
     """
 
     def __init__(
@@ -1057,10 +680,12 @@ class AsyncServer:
     async def shutdown_async(self, drain_timeout_s: float = 0.0) -> None:
         """Stop accepting, optionally drain in-flight requests, then close.
 
-        Same contract as the threaded :meth:`Server.shutdown`:
-        replication streams never count as in-flight (they are ended by
-        ``service.close()``), and past the drain window remaining
-        connections are torn down hard.
+        With ``drain_timeout_s > 0`` the shutdown is **graceful**:
+        requests already being served get up to the drain window to
+        finish and have their responses written.  Replication streams
+        never count as in-flight (they are ended by ``service.close()``),
+        and past the drain window remaining connections are torn down
+        hard.
         """
         self._draining = True
         if self._server is not None:
@@ -1079,11 +704,18 @@ class AsyncServer:
             self._executor.shutdown(wait=False, cancel_futures=True)
 
     # ------------------------------------------------------------------
-    # sync facade (mirrors the threaded Server)
+    # sync facade
     # ------------------------------------------------------------------
 
     def start(self) -> "AsyncServer":
-        """Run the event loop on a daemon thread and block until bound."""
+        """Run the event loop on a daemon thread and block until bound.
+
+        Idempotent while running: :func:`serve` returns a started server
+        and ``with serve(db) as server:`` enters it again, which must
+        not bind a second listener.
+        """
+        if self._thread is not None:
+            return self
         started = threading.Event()
         self._thread = threading.Thread(
             target=lambda: asyncio.run(self._main(started)),
@@ -1396,7 +1028,7 @@ class AsyncServer:
         conn.writer.close()  # ends the pump at its next frame
 
 
-def async_serve(
+def serve(
     db: Database | None = None,
     *,
     host: str = "127.0.0.1",
@@ -1405,7 +1037,6 @@ def async_serve(
     max_conns: int = 1024,
     idle_timeout_s: float = 0.0,
     executor_threads: int = 8,
-    batch: bool = True,
     instance=None,
     semantics: str = "cwa",
     workers: int | None = None,
@@ -1416,17 +1047,32 @@ def async_serve(
     backoff_base: float = 0.2,
     backoff_cap: float = 5.0,
 ) -> AsyncServer:
-    """:func:`serve`, but on the asyncio core (protocol v2, full features).
+    """Build a server around ``db`` (or a fresh session) and start it.
 
-    Same session/replication wiring and the same started-server
-    contract; the extra knobs are the async transport's admission
-    controls.  The returned server runs its loop on a daemon thread —
-    callers that want to *own* the loop build an :class:`AsyncServer`
-    directly and ``await server.start_async()``.
+    Returns the started :class:`AsyncServer`, its loop running on a
+    daemon thread; ``server.address`` carries the bound ``(host, port)``.
+    The caller owns shutdown::
 
-        with async_serve(Database({"R": [(1, 2)]})) as server:
+        with serve(Database({"R": [(1, 2)]})) as server:
             ...  # connect to server.address
 
+    Callers that want to *own* the loop build an :class:`AsyncServer`
+    directly and ``await server.start_async()``.  ``max_inflight``,
+    ``max_conns``, ``idle_timeout_s`` and ``executor_threads`` are the
+    transport's admission controls (see :class:`AsyncServer`).
+
+    ``path`` makes the fresh session durable (``Database(path=...)``):
+    opening recovers the directory's snapshot + WAL, and every
+    acknowledged mutation is journaled.  When ``workers > 1`` the
+    oracle's process pool is forked *before* any server thread exists.
+
+    ``replicate_from="HOST:PORT"`` makes the node a **replica**: a
+    :class:`~repro.replication.replica.ReplicaTailer` streams the
+    primary's WAL into ``db`` (started only after the listener is
+    bound, so the tailer can announce this node's own address), and
+    writes are rejected with a typed ``read_only`` error until the
+    ``promote`` op.  Every node serves the ``replicate`` op itself
+    unless ``feed=False``, so replicas can be chained.
     """
     if db is None:
         db = Database(instance, semantics=semantics, workers=workers, path=path)
@@ -1438,9 +1084,7 @@ def async_serve(
         tailer = ReplicaTailer(
             db, replicate_from, backoff_base=backoff_base, backoff_cap=backoff_cap
         )
-    service = QueryService(
-        db, batch=batch, feed=replication_feed, tailer=tailer, features=FEATURES
-    )
+    service = QueryService(db, feed=replication_feed, tailer=tailer)
     server = AsyncServer(
         service,
         host=host,
@@ -1454,3 +1098,8 @@ def async_serve(
         tailer.announce = f"{server.address[0]}:{server.address[1]}"
         tailer.start()
     return server
+
+
+#: the asyncio factory's earlier name, from when :func:`serve` built a
+#: second, threaded core; kept so existing callers keep working
+async_serve = serve

@@ -29,8 +29,7 @@ records are never written after garbage.
 Group commit: appends are cheap buffered writes; :meth:`sync` is the
 durability point.  Concurrent callers coalesce — one *leader* fsyncs
 the file once for every record appended so far, and followers whose
-record is already covered return without their own fsync (the same
-leader/follower shape as the serving layer's ``_BatchGate``).
+record is already covered return without their own fsync.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from repro.server import (
     AsyncServer,
     QueryService,
     async_serve,
-    serve,
 )
 from repro.session import Database
 
@@ -92,13 +91,6 @@ class TestProtocolV2:
                 assert stats["features"] == ["pipelining", "deadline_ms"]
         finally:
             server.shutdown()
-
-    def test_threaded_shim_advertises_in_order_pipelining_only(self):
-        with serve(Database(INSTANCE)) as server:
-            with Client(server.address) as client:
-                pong = client.ping()
-                assert pong["proto"] == 2
-                assert pong["features"] == ["pipelining"]
 
 
 class TestPipelining:
@@ -155,18 +147,10 @@ class TestPipelining:
         assert first["id"] == "fast" and first["pong"]
         assert second["id"] == "slow" and second["error_type"] == "stale"
 
-    def test_threaded_shim_still_answers_pipelined_requests_in_order(self):
-        with serve(Database(INSTANCE)) as server:
-            wire = Wire(server.address)
-            for i in range(4):
-                wire.send({"id": i, "op": "ping"})
-            assert [wire.recv()["id"] for _ in range(4)] == [0, 1, 2, 3]
-            wire.close()
-
 
 class TestAdmissionControl:
     def test_overload_is_a_typed_frame_never_a_hang_or_drop(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             wire = Wire(server.address)
@@ -191,7 +175,7 @@ class TestAdmissionControl:
             server.shutdown()
 
     def test_connection_limit_refused_with_typed_frame(self):
-        service = QueryService(Database(), features=FEATURES)
+        service = QueryService(Database())
         server = AsyncServer(service, max_conns=1).start()
         try:
             keeper = Wire(server.address)
@@ -207,7 +191,7 @@ class TestAdmissionControl:
             server.shutdown()
 
     def test_overloaded_writes_are_safely_retried_by_the_client(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)
@@ -261,7 +245,7 @@ class TestDeadlines:
             server.shutdown()
 
     def test_expired_deadline_holds_slot_until_the_op_finishes(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             wire = Wire(server.address)
@@ -286,7 +270,7 @@ class TestDeadlines:
 
 class TestSlowloris:
     def test_partial_frame_client_is_reaped_on_idle_timeout(self):
-        service = QueryService(Database(), features=FEATURES)
+        service = QueryService(Database())
         server = AsyncServer(service, idle_timeout_s=0.3).start()
         try:
             victim = socket.create_connection(server.address, timeout=5.0)
@@ -300,7 +284,7 @@ class TestSlowloris:
             server.shutdown()
 
     def test_slowloris_never_occupies_an_admission_slot(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1, idle_timeout_s=5.0).start()
         try:
             loris = socket.create_connection(server.address, timeout=5.0)
@@ -440,7 +424,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_overloaded_reads_retry_until_admitted(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)
@@ -462,7 +446,7 @@ class TestAsyncClient:
             server.shutdown()
 
     def test_overloaded_without_budget_surfaces_typed_error(self):
-        service = QueryService(Database(INSTANCE), features=FEATURES)
+        service = QueryService(Database(INSTANCE))
         server = AsyncServer(service, max_inflight=1).start()
         try:
             blocker = Wire(server.address)

@@ -80,3 +80,20 @@ class TestHarnessSections:
         import check_regression
 
         assert "columnar" in check_regression.GATED_SECTIONS
+
+    def test_best_of_history_reports_each_row_against_its_best_file(self):
+        import check_regression
+
+        def bench(p99_ms, quick=False):
+            row = {"workload": "qos_latency", "n_conns": 64, "p99_ms": p99_ms}
+            return {"meta": {"quick": quick}, "qos": [row]}
+
+        history = {
+            "BENCH_pr1.json": bench(4.0),
+            "BENCH_pr2.json": bench(2.0),
+            "BENCH_pr3.json": bench(1.0, quick=True),  # not comparable
+        }
+        (line,) = check_regression.best_of_history(history, bench(3.0))
+        assert "3.000 vs best 2.000 in BENCH_pr2.json (1.50×)" in line
+        # report only: the gate against the latest file still decides
+        assert check_regression.compare(bench(2.5), bench(3.0), 2.0) == []

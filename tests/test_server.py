@@ -1,6 +1,7 @@
 """The JSON-lines serving layer: QueryService ops, the batch gate, the
 TCP server, and the persistent oracle worker pool."""
 
+import asyncio
 import json
 import socket
 import threading
@@ -8,10 +9,10 @@ import time
 
 import pytest
 
-from repro.client import Client, ServerError
+from repro.client import AsyncClient, Client, ServerError
 from repro.data.values import Null
 from repro.server import MAX_LINE_BYTES, QueryService, async_serve, serve
-from repro.session import Database
+from repro.session import Database, PreparedQuery
 
 X = Null("x")
 
@@ -28,7 +29,7 @@ class TestQueryServiceOps:
     def test_ping(self, service):
         assert service.handle({"op": "ping", "id": 7}) == {
             "ok": True, "pong": True, "id": 7,
-            "proto": 2, "features": ["pipelining"],
+            "proto": 2, "features": ["pipelining", "deadline_ms"],
         }
 
     def test_query_round_trip(self, service):
@@ -122,74 +123,62 @@ class TestQueryServiceOps:
         service.handle({"op": "nope"})
         assert service.handle({"op": "stats"})["requests"]["errors"] == 1
 
+    def test_queries_evaluate_one_at_a_time_while_writes_overlap(self, monkeypatch):
+        service = QueryService(Database({"R": [(1, 2)]}))
+        real = PreparedQuery.evaluate
+        guard = threading.Lock()
+        active, peak = [0], [0]
+        entered, release = threading.Event(), threading.Event()
+
+        def parked(prepared, mode="auto"):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            entered.set()
+            try:
+                assert release.wait(5)
+                return real(prepared, mode)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(PreparedQuery, "evaluate", parked)
+        responses = []
+
+        def query(i):
+            responses.append(service.handle({"op": "query", "query": f"exists x (R(x, {i}))"}))
+
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        assert entered.wait(5)
+        # a write is not held behind the parked evaluation
+        assert service.handle({"op": "insert", "relation": "S", "rows": [[1]]})["changed"] == 1
+        time.sleep(0.1)  # the other queries had time to enter, were they free to
+        release.set()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        assert peak[0] == 1
+        assert len(responses) == 4 and all(r["ok"] for r in responses)
+
+    def test_expansion_limit_is_a_typed_too_expensive_frame(self):
+        # the ctable backend enumerates worlds; past the session's limit
+        # the refusal must be typed, not an untyped error string
+        db = Database({"D": [(X, Null("y")), (Null("y"), X)]}, semantics="cwa", limit=3)
+        service = QueryService(db)
+        response = service.handle(
+            {"id": 4, "op": "query", "query": "exists v . D(v, v)", "mode": "ctable"}
+        )
+        assert response["ok"] is False and response["id"] == 4
+        assert response["error_type"] == "too_expensive"
+        assert "ctable" in response["error"] and "limit 3" in response["error"]
+        assert service.handle({"op": "stats"})["requests"]["errors"] == 1
+
 
 class TestBatchGate:
     def test_single_request_is_batch_of_one(self, service):
         response = service.handle({"op": "query", "query": JOIN})
-        assert response["ok"] and response["batched"] is False
-
-    def test_concurrent_requests_coalesce(self, monkeypatch):
-        db = Database({"R": [(1, 2), (2, 3)]})
-        service = QueryService(db)
-        real = db.evaluate_many
-        calls = []
-        first_entered = threading.Event()
-        release = threading.Event()
-
-        def slow(sources, *, mode="auto"):
-            sources = list(sources)
-            calls.append(len(sources))
-            if len(calls) == 1:
-                first_entered.set()
-                assert release.wait(5)
-            return real(sources, mode=mode)
-
-        monkeypatch.setattr(db, "evaluate_many", slow)
-        responses = {}
-
-        def client(i, text):
-            responses[i] = service.handle({"op": "query", "query": text})
-
-        leader = threading.Thread(target=client, args=(0, "exists x (R(x, 2))"))
-        leader.start()
-        assert first_entered.wait(5)
-        followers = [
-            threading.Thread(target=client, args=(i, f"exists x (R(x, {i}))"))
-            for i in (1, 2)
-        ]
-        for t in followers:
-            t.start()
-        # wait until both followers are queued behind the stalled leader
-        deadline = time.time() + 5
-        while time.time() < deadline:
-            with service._batch._cond:
-                if len(service._batch._pending.get("auto", [])) == 2:
-                    break
-            time.sleep(0.002)
-        release.set()
-        leader.join(5)
-        for t in followers:
-            t.join(5)
-        assert calls == [1, 2]  # leader alone, then the two followers together
-        assert responses[0]["batched"] is False
-        assert responses[1]["batched"] and responses[2]["batched"]
-        assert all(responses[i]["ok"] for i in responses)
-
-    def test_bad_batchmate_does_not_poison_others(self, monkeypatch):
-        db = Database({"R": [(1, X)]}, semantics="cwa")
-        service = QueryService(db)
-
-        def explode(sources, *, mode="auto"):
-            raise ValueError("batch went sideways")
-
-        monkeypatch.setattr(db, "evaluate_many", explode)
-        response = service.handle({"op": "query", "query": "exists z (R(1, z))"})
-        assert response["ok"] and response["holds"]  # individual fallback
-
-    def test_batching_can_be_disabled(self):
-        db = Database({"R": [(1, 2)]})
-        service = QueryService(db, batch=False)
-        response = service.handle({"op": "query", "query": "exists x (R(x, 2))"})
         assert response["ok"] and response["batched"] is False
 
 
@@ -220,7 +209,7 @@ class TestTCPServer:
 
     def test_many_concurrent_clients(self):
         db = Database({"R": [(i, i + 1) for i in range(6)]})
-        with serve(db, max_threads=4) as server:
+        with serve(db, executor_threads=4) as server:
             errors = []
 
             def client(i):
@@ -245,6 +234,24 @@ class TestTCPServer:
             stats = db.cache_stats
             assert stats["hits"] >= 8 * 5 - 8  # every repeat is a hit
         db.close()
+
+    def test_entering_a_started_server_does_not_start_it_again(self):
+        # serve() returns a started server and `with` enters it again:
+        # that must neither spawn a second loop nor bind a second listener
+        def loops():
+            return {t for t in threading.enumerate() if t.name == "repro-async-loop"}
+
+        before = loops()
+        server = async_serve(Database({"R": [(1, 2)]}))
+        address = server.address
+        with server as entered:
+            assert entered is server and entered.address == address
+            assert len(loops() - before) == 1
+            with Client(address) as client:
+                assert client.ping()["pong"]
+        assert not loops() - before
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=2).close()
 
     def test_blank_lines_ignored_and_id_echoed(self):
         db = Database({"R": [(1, 2)]})
@@ -280,6 +287,36 @@ class TestLineLimit:
                 with pytest.raises(ServerError) as err:
                     client.insert("R", huge)
                 assert err.value.error_type == "too_large"
+        finally:
+            server.shutdown()
+
+    def test_clients_refuse_an_oversized_line_before_sending_it(self):
+        server = async_serve(Database({"R": [(1, 2)]}))
+        huge = [["x" * MAX_LINE_BYTES]]
+
+        def served(stats):
+            return stats["requests"]["requests"]
+
+        async def via_async_client():
+            async with AsyncClient(server.address) as client:
+                before = served(await client.stats())
+                with pytest.raises(ServerError) as err:
+                    await client.insert("R", huge)
+                # the second stats call is the only request the server saw
+                assert served(await client.stats()) == before + 1
+                return err.value
+
+        try:
+            error = asyncio.run(via_async_client())
+            assert error.error_type == "too_large"
+            assert error.fields["max_line_bytes"] == MAX_LINE_BYTES
+            with Client(server.address) as client:
+                before = served(client.stats())
+                with pytest.raises(ServerError) as err:
+                    client.insert("R", huge)
+                assert err.value.error_type == "too_large"
+                assert served(client.stats()) == before + 1
+                assert client.query("R(x, y)")["answers"] == [[1, 2]]
         finally:
             server.shutdown()
 
